@@ -42,7 +42,7 @@ func run(ctx context.Context, args []string, out io.Writer, ready chan<- string)
 	fs.SetOutput(out)
 	var (
 		addr        = fs.String("addr", ":8080", "listen address")
-		workers     = fs.Int("workers", 0, "sort workers per team (0 = GOMAXPROCS)")
+		workers     = fs.Int("workers", 0, "sort crew workers (0 = GOMAXPROCS)")
 		variant     = fs.String("variant", "randomized", "deterministic | randomized | lowcontention")
 		seed        = fs.Uint64("seed", 0, "base seed for randomized choices")
 		maxInflight = fs.Int("max-inflight", 64, "admitted requests before 429")
@@ -51,7 +51,7 @@ func run(ctx context.Context, args []string, out io.Writer, ready chan<- string)
 		batchWindow = fs.Duration("batch-window", 500*time.Microsecond, "how long a batch waits for company")
 		timeout     = fs.Duration("timeout", 5*time.Second, "per-request deadline")
 		drainWait   = fs.Duration("drain-timeout", 30*time.Second, "graceful drain limit on shutdown")
-		pipeline    = fs.Int("pipeline", 0, "phase-pipeline queued sorts through one crew with this queue depth (0 = serial teams)")
+		pipeline    = fs.Int("pipeline", 0, "pending-queue bound of the sort crew (0 = 64)")
 		churn       = fs.Int("churn", 0, "kill+revive every non-zero worker this many times per sort")
 		crashFrac   = fs.Float64("crash-frac", 0, "fail-stop this fraction of workers per sort (chaos mode)")
 		qosPath     = fs.String("qos", "", "QoS config JSON: per-class token buckets, priorities, deadlines (see internal/qos)")

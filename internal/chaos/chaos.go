@@ -388,12 +388,21 @@ func RunNative(spec Spec) (res Result, err error) {
 // keys stream through one phase-pipelined crew of P workers with queue
 // depth Depth, and every even-numbered job is struck by a seeded crash
 // quorum killing roughly Frac of the workers (pid 0 spared, no
-// revival).
+// revival) at op ordinals below 32.
 type PipelinedSpec struct {
 	N, P, Depth, Jobs int
 	Seed              uint64
 	Frac              float64
 }
+
+// pipelinedCrashWindow bounds the op ordinals at which RunPipelined's
+// crash quorums strike. A victim may pick a struck job up only after a
+// peer has finished it, and then its sweep merely re-verifies
+// completion marks: 29–101 ops for N = 16…4096 and P = 2…16, as few as
+// 61 at N = 1024, P = 16, and at least 43 from N = 64 up. A window
+// below every such sweep makes every planned kill land whatever the
+// interleaving; an N-sized window lets kills miss.
+const pipelinedCrashWindow = 32
 
 // RunPipelined is the serving-regime counterpart of RunNative: it
 // certifies wait-freedom across job boundaries, not just within one
@@ -404,7 +413,10 @@ type PipelinedSpec struct {
 // kills stay job-local (each job owns its kill flags); the faultless
 // jobs between them prove the crew is back at full strength without a
 // goroutine ever respawning; and the stream completing at all proves
-// the admission gate does not deadlock on permanently dead workers.
+// the admission gate does not deadlock on permanently dead workers. A
+// struck job whose planned kills did not all land — some victim
+// executed fewer ops than its strike ordinal — fails with an error,
+// because it proved nothing about the faults it was meant to carry.
 func RunPipelined(spec PipelinedSpec) ([]Result, error) {
 	if spec.Depth < 1 {
 		spec.Depth = 1
@@ -416,10 +428,11 @@ func RunPipelined(spec PipelinedSpec) ([]Result, error) {
 	defer pl.Close()
 
 	type flight struct {
-		run  *native.PipeRun
-		s    *core.Sorter
-		mem  []model.Word
-		keys []int
+		run     *native.PipeRun
+		s       *core.Sorter
+		mem     []model.Word
+		keys    []int
+		planned int // kills scheduled on this job
 	}
 	flights := make([]flight, 0, spec.Jobs)
 	for j := 0; j < spec.Jobs; j++ {
@@ -432,13 +445,14 @@ func RunPipelined(spec PipelinedSpec) ([]Result, error) {
 			Graph: s.Graph(), Mem: mem, Less: lessFor(keys),
 			Seed: spec.Seed + uint64(j),
 		}
+		var planned int
 		if j%2 == 0 && spec.Frac > 0 {
-			crashes := CrashQuorum(spec.P, spec.Frac, int64(spec.N), spec.Seed+uint64(13*j+7))
-			if len(crashes) > 0 {
+			crashes := CrashQuorum(spec.P, spec.Frac, pipelinedCrashWindow, spec.Seed+uint64(13*j+7))
+			if planned = len(crashes); planned > 0 {
 				job.Adversary = native.NewPlan().AddCrashes(crashes)
 			}
 		}
-		flights = append(flights, flight{run: pl.Submit(job), s: s, mem: mem, keys: keys})
+		flights = append(flights, flight{run: pl.Submit(job), s: s, mem: mem, keys: keys, planned: planned})
 	}
 
 	results := make([]Result, 0, spec.Jobs)
@@ -468,6 +482,9 @@ func RunPipelined(spec PipelinedSpec) ([]Result, error) {
 		if name := f.s.Graph().FirstUndone(f.mem); name != "" && res.Error == "" {
 			res.Error = fmt.Sprintf("phase %q predicate unsatisfied after completion", name)
 			res.Sorted = false
+		}
+		if met.Killed != f.planned && res.Error == "" {
+			res.Error = fmt.Sprintf("%d of %d planned kills landed: a victim's sweep ended before its strike ordinal", met.Killed, f.planned)
 		}
 
 		res.Bound = Bound(spec.N)

@@ -59,7 +59,9 @@ func TestMassacreCertifies(t *testing.T) {
 
 // TestRunPipelinedCrashHalf is the pipelined acceptance battery: a
 // stream of overlapped jobs on one crew, half the workers crashed in
-// alternate jobs, every job sorted and certified.
+// alternate jobs, every job sorted and certified, and every planned
+// kill landed (RunPipelined fails a struck job whose victims stopped
+// short of their strike ordinals).
 func TestRunPipelinedCrashHalf(t *testing.T) {
 	results, err := RunPipelined(PipelinedSpec{
 		N: 1024, P: 4, Depth: 2, Jobs: 5, Seed: 21, Frac: 0.5,

@@ -16,7 +16,7 @@
 // coordination. The coordinator therefore retries backpressure
 // (429/503) with bounded backoff and redispatches hard failures —
 // backend kill, timeout, malformed reply — to a surviving backend,
-// and a sum/xor multiset ledger (loadgen's verification vocabulary)
+// and a sum/xor multiset ledger (wire.Ledger, shared with the codec)
 // certifies per shard and per sort that no element was lost or
 // duplicated across those retries. Routing is policy-pluggable
 // (round-robin, least-loaded, size-affinity) behind the qos.Sched-
@@ -28,9 +28,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"wfsort/internal/wire"
 )
 
 // Config sizes the coordinator; zero values take the defaults noted.
@@ -240,7 +243,7 @@ func (c *Coordinator) sort(ctx context.Context, class, traceID string, keys []in
 	if traceID == "" || !validTraceID(traceID) {
 		traceID = fmt.Sprintf("c-%d", c.traceSeq.Add(1))
 	}
-	total := foldLedger(keys)
+	total := wire.LedgerOf(keys)
 
 	k := shardCount(n, c.cfg.ShardKeys)
 	var shards [][]int64
@@ -295,11 +298,11 @@ func (c *Coordinator) sort(ctx context.Context, class, traceID string, keys []in
 	} else {
 		out = kmerge(sorted, n)
 	}
-	if got := foldLedger(out); got != total {
+	if got := wire.LedgerOf(out); got != total {
 		c.ledgerFailures.Add(1)
 		return nil, shardErr(ErrLedger, "", -1, 0,
 			fmt.Errorf("sent count=%d sum=%d xor=%d, merged count=%d sum=%d xor=%d",
-				total.count, total.sum, total.xor, got.count, got.sum, got.xor))
+				total.N, total.Sum, total.Xor, got.N, got.Sum, got.Xor))
 	}
 	return out, nil
 }
@@ -315,7 +318,7 @@ func isCtxErr(err error) bool {
 // has passed length, sortedness, trace-echo and sum/xor ledger checks
 // against what was sent.
 func (c *Coordinator) sortShard(ctx context.Context, class, traceID string, si int, keys []int64) ([]int64, error) {
-	sent := foldLedger(keys)
+	sent := wire.LedgerOf(keys)
 	fails, bp := 0, 0
 	backoff := c.cfg.Backoff
 	var lastErr error
@@ -395,22 +398,18 @@ func (c *Coordinator) sortShard(ctx context.Context, class, traceID string, si i
 // sum/xor ledger — both against the coordinator's own fold of what it
 // sent and against the backend's fold of what it sorted. A duplicate
 // or stale shard reply fails the ledger here; it cannot silently pass.
-func verifyShardReply(sentKeys []int64, sent ledger, tid string, r *ShardReply) error {
+func verifyShardReply(sentKeys []int64, sent wire.Ledger, tid string, r *ShardReply) error {
 	if r.TraceEcho != "" && r.TraceEcho != tid {
 		return ErrTraceEcho
 	}
 	if len(r.Sorted) != len(sentKeys) || r.N != len(sentKeys) {
 		return ErrMalformed
 	}
-	var sum, xor int64
-	for i, k := range r.Sorted {
-		if i > 0 && r.Sorted[i-1] > k {
-			return ErrMalformed
-		}
-		sum += k
-		xor ^= k
+	if !slices.IsSorted(r.Sorted) {
+		return ErrMalformed
 	}
-	if sum != sent.sum || xor != sent.xor || r.Sum != sent.sum || r.Xor != sent.xor {
+	echoed := wire.Ledger{N: int64(r.N), Sum: r.Sum, Xor: r.Xor}
+	if wire.LedgerOf(r.Sorted) != sent || echoed != sent {
 		return ErrMalformed
 	}
 	return nil

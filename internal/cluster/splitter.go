@@ -85,21 +85,3 @@ func partition(keys []int64, split []int64) [][]int64 {
 func kmerge(shards [][]int64, n int) []int64 {
 	return merge.Slices(shards, n)
 }
-
-// ledger is the sum/xor multiset aggregate shared with loadgen's
-// response verification: cheap to fold, order-independent, and a lost
-// or duplicated element across shard retries moves at least one of the
-// two words with overwhelming probability.
-type ledger struct {
-	count    int
-	sum, xor int64
-}
-
-func foldLedger(keys []int64) ledger {
-	l := ledger{count: len(keys)}
-	for _, k := range keys {
-		l.sum += k
-		l.xor ^= k
-	}
-	return l
-}

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"wfsort/internal/wire"
 )
 
 // distributions are the adversarial inputs the splitter-quality
@@ -192,16 +194,16 @@ func TestKmergeEmptyAndSingle(t *testing.T) {
 // TestFoldLedger locks the ledger fold the whole certification chain
 // rests on.
 func TestFoldLedger(t *testing.T) {
-	l := foldLedger([]int64{1, 2, 3})
-	if l.count != 3 || l.sum != 6 || l.xor != 0 {
+	l := wire.LedgerOf([]int64{1, 2, 3})
+	if l.N != 3 || l.Sum != 6 || l.Xor != 0 {
 		t.Fatalf("ledger = %+v", l)
 	}
 	// Order-independent: a permutation folds identically.
-	if foldLedger([]int64{3, 1, 2}) != l {
+	if wire.LedgerOf([]int64{3, 1, 2}) != l {
 		t.Fatal("ledger is order-dependent")
 	}
 	// A duplicated element moves it.
-	if foldLedger([]int64{1, 2, 3, 3}) == l {
+	if wire.LedgerOf([]int64{1, 2, 3, 3}) == l {
 		t.Fatal("ledger blind to duplication")
 	}
 }

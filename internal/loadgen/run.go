@@ -3,8 +3,11 @@ package loadgen
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
+
+	"wfsort/internal/wire"
 )
 
 // Outcome classifies one issued request's fate.
@@ -103,11 +106,7 @@ func Run(ctx context.Context, t *Trace, target Target) *RunResult {
 func issueOne(t *Trace, i int, r *PlannedReq, target Target, start time.Time) ReqResult {
 	c := &t.Spec.Classes[r.Class]
 	keys := r.Keys(c.KeySpace)
-	var sentSum, sentXor int64
-	for _, k := range keys {
-		sentSum += k
-		sentXor ^= k
-	}
+	sent := wire.LedgerOf(keys)
 	// Every request is stamped with a deterministic trace ID so a run's
 	// records cross-reference the server's /trace surface directly.
 	traceID := fmt.Sprintf("lg-%d", i)
@@ -128,7 +127,7 @@ func issueOne(t *Trace, i int, r *PlannedReq, target Target, start time.Time) Re
 	case err != nil:
 		res.Outcome = OutcomeError
 	case status == 200:
-		res.Outcome = verifySorted(keys, sorted, sentSum, sentXor)
+		res.Outcome = verifySorted(sorted, sent)
 	case status == 429 || status == 503:
 		res.Outcome = OutcomeShed
 	case status == 504:
@@ -139,23 +138,12 @@ func issueOne(t *Trace, i int, r *PlannedReq, target Target, start time.Time) Re
 	return res
 }
 
-// verifySorted checks length, non-decreasing order and the sum/xor
-// multiset aggregate — O(n), no allocation, cheap enough to keep on
-// during capacity sweeps where a per-request map would perturb the
-// measurement.
-func verifySorted(sent, got []int64, sentSum, sentXor int64) Outcome {
-	if len(got) != len(sent) {
-		return OutcomeUnsorted
-	}
-	var gotSum, gotXor int64
-	for i, k := range got {
-		if i > 0 && got[i-1] > k {
-			return OutcomeUnsorted
-		}
-		gotSum += k
-		gotXor ^= k
-	}
-	if gotSum != sentSum || gotXor != sentXor {
+// verifySorted checks non-decreasing order and the multiset ledger of
+// what was sent (length included) — O(n), no allocation, cheap enough
+// to keep on during capacity sweeps where a per-request map would
+// perturb the measurement.
+func verifySorted(got []int64, sent wire.Ledger) Outcome {
+	if !slices.IsSorted(got) || wire.LedgerOf(got) != sent {
 		return OutcomeUnsorted
 	}
 	return OutcomeOK

@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"wfsort/internal/wire"
 )
 
 // fakeTarget answers every request by actually sorting (or corrupting)
@@ -123,26 +125,18 @@ func TestRunCancelStopsIssuing(t *testing.T) {
 }
 
 func TestVerifySorted(t *testing.T) {
-	sum := func(k []int64) (s, x int64) {
-		for _, v := range k {
-			s += v
-			x ^= v
-		}
-		return
-	}
-	sent := []int64{3, 1, 2, 2}
-	s, x := sum(sent)
-	if got := verifySorted(sent, []int64{1, 2, 2, 3}, s, x); got != OutcomeOK {
+	sent := wire.LedgerOf([]int64{3, 1, 2, 2})
+	if got := verifySorted([]int64{1, 2, 2, 3}, sent); got != OutcomeOK {
 		t.Fatalf("valid response judged %v", got)
 	}
-	if got := verifySorted(sent, []int64{1, 2, 3, 2}, s, x); got != OutcomeUnsorted {
+	if got := verifySorted([]int64{1, 2, 3, 2}, sent); got != OutcomeUnsorted {
 		t.Fatal("out-of-order response passed")
 	}
-	if got := verifySorted(sent, []int64{1, 2, 3}, s, x); got != OutcomeUnsorted {
+	if got := verifySorted([]int64{1, 2, 3}, sent); got != OutcomeUnsorted {
 		t.Fatal("short response passed")
 	}
 	// Same order, different multiset (sum-preserving swap caught by xor).
-	if got := verifySorted(sent, []int64{1, 1, 3, 3}, s, x); got != OutcomeUnsorted {
+	if got := verifySorted([]int64{1, 1, 3, 3}, sent); got != OutcomeUnsorted {
 		t.Fatal("multiset change passed")
 	}
 }

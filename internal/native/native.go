@@ -62,10 +62,9 @@ type Config struct {
 
 // runState is the execution state proc methods touch on every
 // shared-memory operation. It is factored out of Runtime so the two
-// drivers — the single-use Runtime below and the resident Team in
-// team.go — share one proc implementation: the Team swaps the
-// per-job fields (mem, less, adversary) between jobs while all its
-// workers are quiescent, then reuses the same kill flags and counters.
+// drivers — the single-use Runtime below and the resident Pipeline in
+// pipeline.go, which builds one per job — share one proc
+// implementation.
 type runState struct {
 	mem       []Word
 	kill      []atomic.Bool
@@ -285,7 +284,7 @@ func (r *Runtime) OpsPerProc() []int64 {
 }
 
 // proc implements model.Proc over atomic operations. It is backed by a
-// runState, which either a single-use Runtime or a resident Team owns.
+// runState, which either a single-use Runtime or a Pipeline job owns.
 type proc struct {
 	st  *runState
 	id  int

@@ -1,23 +1,27 @@
 package native
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"wfsort/internal/engine"
 	"wfsort/internal/model"
-	"wfsort/internal/obs"
 	"wfsort/internal/xrand"
 )
 
-// Pipeline is a resident crew of P worker goroutines that overlaps a
-// bounded queue of independent sort jobs at phase granularity. The
-// serial Team forces a full barrier between jobs: the driver must Wait
-// for job k before Start(job k+1), so at every job boundary the whole
-// crew idles behind its slowest worker. The Pipeline removes that
-// barrier. Each job is an engine phase graph; a worker that finishes
-// job k moves straight on to job k+1, gated only by the admission rule:
+// Pipeline is a resident crew of P worker goroutines that executes a
+// bounded queue of independent sort jobs, overlapping them at phase
+// granularity: the serving layer's counterpart to the single-use
+// Runtime. Between jobs the workers stay parked on their job channels,
+// so steady-state sorts pay no goroutine spawns, and a worker killed
+// inside one job is back at full strength for the next because only
+// the program unwinds, never the goroutine. There is no barrier
+// between jobs: the crew never idles behind its slowest worker at a
+// job boundary. Each job is an engine phase graph; a worker that
+// finishes job k moves straight on to job k+1, gated only by the
+// admission rule:
 //
 //	job k+1 may enter phase 1 once every worker has advanced past
 //	phase 1 of job k.
@@ -36,13 +40,11 @@ import (
 // hold, so the output is final and any worker arriving afterwards
 // would only re-verify no-ops. Such workers skip the sweep (publishing
 // their phase-1 passage directly, which is trivially true of a done
-// job). The serial Team cannot do this — its barrier wakes all workers
-// into the job simultaneously and its Program is opaque — which is
-// precisely the throughput edge the -pipeline benchmark gate measures.
-// Kills never set the latch — a worker that dies without revival, or a
-// job that panics, leaves done unset — and jobs carrying an Adversary
-// never skip at all, so deterministic fault plans land every scheduled
-// kill and the chaos certifier always measures the unskipped path.
+// job). Kills never set the latch — a worker that dies without
+// revival, or a job that panics, leaves done unset — and jobs carrying
+// an Adversary never skip at all, so deterministic fault plans land
+// every scheduled kill and the chaos certifier always measures the
+// unskipped path.
 //
 // # Progress tracking
 //
@@ -68,10 +70,11 @@ import (
 //     the lowest unadmitted epoch only ever waits on workers that are
 //     actively running (or already past) the previous job.
 //
-// Fault semantics within a job match the Team exactly — same
-// incarnation loop (jobCore), kills unwind the graph, respawns carry op
-// ordinals across — but each job gets its own runState (kill flags,
-// counters), because two jobs are concurrently in flight.
+// Fault semantics within a job match the Runtime's: kills unwind the
+// graph, and a Respawner adversary revives the worker with its op
+// ordinal carried across incarnations (jobCore.runIncarnations). Each
+// job gets its own runState (kill flags, counters), because two jobs
+// are concurrently in flight.
 //
 // # Ordered queue and the dispatcher
 //
@@ -160,8 +163,6 @@ type PipeJob struct {
 	// implements Respawner, killed workers re-enter the graph with fresh
 	// incarnations.
 	Adversary model.Adversary
-	// Observer, when non-nil, records this job (one Observer per job).
-	Observer *obs.Observer
 	// QoS is the job's scheduling envelope, consulted by the pipeline's
 	// QueuePolicy. The zero value is "best tier, no deadline".
 	QoS JobQoS
@@ -271,7 +272,7 @@ func (pl *Pipeline) now() int64 { return time.Since(pl.wall).Nanoseconds() }
 // P returns the crew's worker count.
 func (pl *Pipeline) P() int { return pl.p }
 
-// Depth returns the per-worker job-queue bound.
+// Depth returns the pending-queue bound.
 func (pl *Pipeline) Depth() int { return pl.depth }
 
 // Submit enqueues a job on the pending queue and returns its handle.
@@ -296,12 +297,15 @@ func (pl *Pipeline) Submit(job PipeJob) *PipeRun {
 	jb.st = runState{
 		mem:       job.Mem,
 		kill:      make([]atomic.Bool, pl.p),
-		ops:       make([]paddedCounter, pl.p),
 		p:         pl.p,
 		less:      job.Less,
 		countOps:  pl.countOps,
 		adversary: job.Adversary,
 		stalls:    &jb.stalls,
+	}
+	if pl.countOps {
+		// Only counting procs touch the counters.
+		jb.st.ops = make([]paddedCounter, pl.p)
 	}
 
 	pl.qmu.Lock()
@@ -317,9 +321,6 @@ func (pl *Pipeline) Submit(job PipeJob) *PipeRun {
 	jb.queuedNs = pl.now()
 	if dl := job.QoS.Deadline; !dl.IsZero() {
 		jb.deadlineNs = dl.Sub(pl.wall).Nanoseconds()
-	}
-	if ob := job.Observer; ob != nil {
-		ob.RunStart(pl.p)
 	}
 	run := &PipeRun{pl: pl, jb: jb, start: time.Now()}
 	pl.pending = append(pl.pending, jb)
@@ -483,7 +484,7 @@ func (pl *Pipeline) worker(pid int, ch <-chan *pipeJob) {
 						jb.phaseEnd[pid*nphase+k].Store(pl.now())
 					}
 				})
-			}, jb.Adversary, jb.Observer)
+			}, jb.Adversary)
 			if completed {
 				jb.done.Store(true)
 			}
@@ -554,16 +555,13 @@ func (pl *Pipeline) allAtLeast(need int64) bool {
 }
 
 // Wait blocks until every worker has finished (or permanently died in)
-// the job and returns its metrics, exactly as TeamRun.Wait does for the
-// serial team.
+// the job and returns its metrics: kill, respawn and stall counts, plus
+// op counts when the pipeline counts ops.
 func (r *PipeRun) Wait() (*model.Metrics, error) {
 	r.jb.wg.Wait()
 	r.Elapsed = time.Since(r.start)
 	if r.jb.Traced && r.jb.endNs == 0 {
 		r.jb.endNs = r.pl.now()
-	}
-	if ob := r.jb.Observer; ob != nil {
-		ob.RunEnd()
 	}
 	if r.jb.shedded {
 		// The queue policy dropped the job before dispatch: no worker
@@ -582,9 +580,6 @@ func (r *PipeRun) Wait() (*model.Metrics, error) {
 			met.CASes += atomic.LoadInt64(&r.jb.st.ops[i].cas)
 			met.CASFailures += atomic.LoadInt64(&r.jb.st.ops[i].casFails)
 		}
-	}
-	if ob := r.jb.Observer; ob != nil {
-		ob.MergeInto(met)
 	}
 	r.jb.panicMu.Lock()
 	defer r.jb.panicMu.Unlock()
@@ -672,11 +667,82 @@ func (r *PipeRun) Timing() JobTiming {
 // OpsPerProc returns, after Wait on a counting pipeline, the number of
 // shared-memory operations each worker executed on this job, summed
 // across incarnations — the per-processor quantity the chaos certifier
-// checks against its wait-freedom op ceiling.
+// checks against its wait-freedom op ceiling. A pipeline that does not
+// count ops reports zeros.
 func (r *PipeRun) OpsPerProc() []int64 {
 	out := make([]int64, r.pl.p)
-	for i := range out {
+	for i := range r.jb.st.ops {
 		out[i] = atomic.LoadInt64(&r.jb.st.ops[i].n)
 	}
 	return out
+}
+
+// jobCore is a job's fault and incarnation machinery: its RNG root,
+// completion group, abort latch, fault counters and first-panic record.
+type jobCore struct {
+	root     *xrand.Rand
+	wg       sync.WaitGroup
+	aborted  atomic.Bool
+	killed   atomic.Int64
+	respawns atomic.Int64
+
+	panicMu  sync.Mutex
+	panicked error
+}
+
+// runIncarnations executes prog for worker pid against st, re-entering
+// the program after each landed kill the adversary revives, with the
+// pid's op ordinal carried across incarnations. The worker's own
+// goroutine manages its pid's deaths, so no lock is needed:
+// incarnations of a pid are serialized by construction. It reports
+// whether the worker ran the program to normal completion — false when
+// it died without revival or panicked — which is the fact the crew
+// uses to mark a job globally done.
+func (jc *jobCore) runIncarnations(st *runState, pid int, prog model.Program, adversary model.Adversary) bool {
+	var startOps int64
+	deaths := 0
+	for {
+		pr := proc{
+			st:  st,
+			id:  pid,
+			rng: jc.root.Fork(uint64(pid) | uint64(deaths)<<32),
+			n:   startOps,
+		}
+		rec := runProg(&pr, prog)
+		if rec == nil {
+			return true
+		}
+		if _, wasKill := rec.(model.Killed); !wasKill {
+			jc.panicMu.Lock()
+			if jc.panicked == nil {
+				jc.panicked = fmt.Errorf("native: processor %d panicked: %v", pid, rec)
+			}
+			jc.panicMu.Unlock()
+			return false
+		}
+		jc.killed.Add(1)
+		deaths++
+		rs, ok := adversary.(Respawner)
+		if !ok || !rs.Respawn(pid, deaths) {
+			return false
+		}
+		st.kill[pid].Store(false)
+		// An Abort between the kill landing and the flag clearing above
+		// must still win: its aborted store precedes its kill stores, so
+		// either our clear lost the race (the next op dies and the check
+		// below ends the loop then) or we observe aborted here.
+		if jc.aborted.Load() {
+			return false
+		}
+		jc.respawns.Add(1)
+		startOps = pr.n
+	}
+}
+
+// runProg runs the program to completion and returns the recovered
+// panic value, if any (model.Killed for a landed kill).
+func runProg(pr *proc, prog model.Program) (rec any) {
+	defer func() { rec = recover() }()
+	prog(pr)
+	return nil
 }

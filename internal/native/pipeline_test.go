@@ -2,6 +2,7 @@ package native
 
 import (
 	"errors"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -25,6 +26,45 @@ func pipeSortJob(keys []int, seed uint64) (PipeJob, *core.Sorter, []Word) {
 		return i < j
 	}
 	return PipeJob{Graph: s.Graph(), Mem: mem, Less: less, Seed: seed}, s, mem
+}
+
+func checkRanks(t *testing.T, keys []int, s *core.Sorter, mem []Word) {
+	t.Helper()
+	places := s.Places(mem)
+	out := make([]int, len(keys))
+	for i, r := range places {
+		if r < 1 || r > len(keys) {
+			t.Fatalf("element %d: rank %d out of range", i+1, r)
+		}
+		out[r-1] = keys[i]
+	}
+	if !sort.IntsAreSorted(out) {
+		t.Fatalf("output not sorted: %v", out)
+	}
+}
+
+// TestPipelineReuse runs many successive sorts on one crew, each waited
+// before the next is submitted, and verifies every one — the
+// resident-worker contract the pool depends on.
+func TestPipelineReuse(t *testing.T) {
+	pl := NewPipeline(4, 1, true)
+	defer pl.Close()
+	for run := 0; run < 10; run++ {
+		n := 64 + run*37
+		keys := make([]int, n)
+		for i := range keys {
+			keys[i] = (i * 131) % 97
+		}
+		job, s, mem := pipeSortJob(keys, uint64(run))
+		met, err := pl.Run(job)
+		if err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		if met.Ops == 0 {
+			t.Fatalf("run %d: no ops counted", run)
+		}
+		checkRanks(t, keys, s, mem)
+	}
 }
 
 // TestPipelineOverlap submits a stream of jobs without waiting between

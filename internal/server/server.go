@@ -36,15 +36,14 @@ type kv struct {
 
 // Config sizes the service; zero values take the defaults noted.
 type Config struct {
-	// Workers is the sort parallelism per pooled team (default
-	// GOMAXPROCS, via wfsort).
+	// Workers is the sort crew's parallelism (default GOMAXPROCS, via
+	// wfsort).
 	Workers int
 	// Options is appended to the pool configuration — variant, layout,
 	// seed, fault planes (WithChurn/WithCrashes for soak and E22 runs).
 	Options []wfsort.Option
-	// PipelineDepth > 0 routes the pool's queued sorts through one
-	// resident phase-pipelined crew of that depth (wfsort.WithPipeline)
-	// instead of per-sort serial teams. 0 keeps serial teams.
+	// PipelineDepth bounds the pending queue of the pool's sort crew
+	// (wfsort.WithPipeline); 0 keeps the library default of 64.
 	PipelineDepth int
 	// MaxInFlight bounds admitted requests; excess get 429 (default 64).
 	MaxInFlight int
@@ -77,8 +76,7 @@ type Config struct {
 	// priority with aging and deadline shedding, and unknown classes
 	// are rejected with 400. Requests then select a class with
 	// X-Sort-Class (missing header means "default", which must be
-	// configured). Implies a pipelined pool: PipelineDepth 0 becomes
-	// 64.
+	// configured).
 	QoS *qos.Config
 	// SLO, when > 0, is the p99 latency objective the burn-rate monitor
 	// watches: requests slower than this (or failed outright) burn the
@@ -124,11 +122,6 @@ func (c *Config) fill() {
 	}
 	if c.StuckAfter == 0 {
 		c.StuckAfter = 30 * time.Second
-	}
-	if c.QoS != nil && c.PipelineDepth == 0 {
-		// The scheduler lives on the pipeline's pending queue; without a
-		// crew there is nothing to order.
-		c.PipelineDepth = 64
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -50,6 +51,11 @@ func postSort(t *testing.T, url string, keys []int64) (*http.Response, sortRespo
 		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// Drain to EOF: a chunked reply's terminator follows the handler's
+	// span bookkeeping, so after EOF the request is fully accounted.
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+		t.Fatal(err)
 	}
 	return resp, out
 }

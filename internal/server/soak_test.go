@@ -16,7 +16,7 @@ import (
 )
 
 // TestSoak hammers the full serving path — admission, batching, pooled
-// contexts, resident teams — from concurrent clients while the fault
+// contexts, the resident crew — from concurrent clients while the fault
 // plane kills and respawns workers inside every sort. Every 200 must
 // carry a correctly sorted body (429/503/504 are legitimate
 // backpressure), and when the clients stop, the server must drain

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math/rand"
 	"net/http"
 	"os"
@@ -35,7 +36,14 @@ func postSortTraced(t *testing.T, url, traceID, class string, keys []int64) (*ht
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { resp.Body.Close() })
+	// Drain to EOF before returning: a chunked reply's terminator is
+	// written only after the handler's finishSpan, so once the body is
+	// read the request's span and stage histograms are recorded.
+	_, err = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
 	return resp, resp.Header.Get("X-Trace-Id")
 }
 

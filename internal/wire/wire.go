@@ -119,14 +119,36 @@ type Header struct {
 	Sum, Xor int64
 }
 
-// Fold returns the sum/xor multiset ledger of keys — the pair the
-// header carries and the cluster tier's verification vocabulary.
-func Fold(keys []int64) (sum, xor int64) {
+// Ledger is the multiset fold every integrity check on a key set
+// shares: block headers, shard replies, spill blocks and response
+// verification. It is order-independent, so a sorted permutation folds
+// exactly like its input, and Add is its one definition.
+type Ledger struct {
+	N        int64
+	Sum, Xor int64
+}
+
+// Add folds keys into the ledger.
+func (l *Ledger) Add(keys []int64) {
 	for _, k := range keys {
-		sum += k
-		xor ^= k
+		l.Sum += k
+		l.Xor ^= k
 	}
-	return sum, xor
+	l.N += int64(len(keys))
+}
+
+// LedgerOf returns the ledger of keys.
+func LedgerOf(keys []int64) Ledger {
+	var l Ledger
+	l.Add(keys)
+	return l
+}
+
+// Fold returns the sum/xor pair of keys' ledger — what a block header
+// carries.
+func Fold(keys []int64) (sum, xor int64) {
+	l := LedgerOf(keys)
+	return l.Sum, l.Xor
 }
 
 // IsWire reports whether an HTTP Content-Type (or Accept) value
@@ -151,24 +173,23 @@ var scratch = sync.Pool{
 	New: func() any { b := make([]byte, 32*1024); return &b },
 }
 
-// putHeader encodes a header for n keys with the given ledger.
-func putHeader(dst *[HeaderLen]byte, kind byte, n int, sum, xor int64) {
+// putHeader encodes a header for the keys folded into l.
+func putHeader(dst *[HeaderLen]byte, kind byte, l Ledger) {
 	copy(dst[0:4], magic[:])
 	dst[4] = Version
 	dst[5] = kind
 	dst[6], dst[7] = 0, 0
-	binary.LittleEndian.PutUint64(dst[8:16], uint64(n))
-	binary.LittleEndian.PutUint64(dst[16:24], uint64(sum))
-	binary.LittleEndian.PutUint64(dst[24:32], uint64(xor))
+	binary.LittleEndian.PutUint64(dst[8:16], uint64(l.N))
+	binary.LittleEndian.PutUint64(dst[16:24], uint64(l.Sum))
+	binary.LittleEndian.PutUint64(dst[24:32], uint64(l.Xor))
 }
 
 // WriteBlock encodes one block — header plus keys — onto w, folding
 // the ledger as it streams. Large payloads are written in bounded
 // scratch-buffer chunks, never marshalled whole.
 func WriteBlock(w io.Writer, kind byte, keys []int64) error {
-	sum, xor := Fold(keys)
 	var h [HeaderLen]byte
-	putHeader(&h, kind, len(keys), sum, xor)
+	putHeader(&h, kind, LedgerOf(keys))
 	if _, err := w.Write(h[:]); err != nil {
 		return err
 	}
@@ -196,9 +217,8 @@ func WriteBlock(w io.Writer, kind byte, keys []int64) error {
 // the in-memory form of WriteBlock, for transports that want a []byte
 // body up front.
 func AppendBlock(dst []byte, kind byte, keys []int64) []byte {
-	sum, xor := Fold(keys)
 	var h [HeaderLen]byte
-	putHeader(&h, kind, len(keys), sum, xor)
+	putHeader(&h, kind, LedgerOf(keys))
 	dst = append(dst, h[:]...)
 	for _, k := range keys {
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(k))
@@ -219,7 +239,7 @@ type Reader struct {
 	h         Header
 	gotHeader bool
 	remaining int
-	sum, xor  int64
+	got       Ledger // fold of the keys decoded so far
 	verified  bool
 }
 
@@ -304,12 +324,11 @@ func (d *Reader) ReadKeys(buf []int64) (int, error) {
 		if _, err := io.ReadFull(d.r, b); err != nil {
 			return read, errf(ErrTruncated, "payload at key %d of %d: %v", d.h.N-d.remaining, d.h.N, err)
 		}
-		for i := 0; i < c; i++ {
-			k := int64(binary.LittleEndian.Uint64(b[8*i:]))
-			buf[read+i] = k
-			d.sum += k
-			d.xor ^= k
+		dst := buf[read : read+c]
+		for i := range dst {
+			dst[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
 		}
+		d.got.Add(dst)
 		read += c
 		d.remaining -= c
 	}
@@ -326,9 +345,9 @@ func (d *Reader) finish() error {
 	if d.verified {
 		return nil
 	}
-	if d.sum != d.h.Sum || d.xor != d.h.Xor {
+	if d.got.Sum != d.h.Sum || d.got.Xor != d.h.Xor {
 		return errf(ErrLedger, "header sum=%d xor=%d, payload sum=%d xor=%d",
-			d.h.Sum, d.h.Xor, d.sum, d.xor)
+			d.h.Sum, d.h.Xor, d.got.Sum, d.got.Xor)
 	}
 	d.verified = true
 	return nil

@@ -8,7 +8,7 @@ package wfsort
 // integer field" — and for that shape copying the payloads is pure
 // waste. The keyed path extracts one uint64 key per element into a
 // pooled key buffer, sorts the KEYS through the same wait-free arenas,
-// teams, pipeline, QoS and fault planes as every other sort (the
+// crew, QoS and fault planes as every other sort (the
 // shared core is Pool.runPooled), and then reorders the caller's slice
 // in place by walking the permutation's swap cycles. Element payloads
 // are never copied anywhere: memory traffic per element is 8 bytes of
@@ -112,8 +112,8 @@ func permuteInPlace[T any](data []T, places []int) error {
 	return nil
 }
 
-// KeyedSorter is the reusable form of SortKeyed: pooled arenas,
-// resident teams or a pipelined crew, QoS and tracing via context —
+// KeyedSorter is the reusable form of SortKeyed: pooled arenas, the
+// resident crew, QoS and tracing via context —
 // exactly Sorter's machinery — with the keyed path's zero payload
 // copies. Create one with NewKeyedSorter; it is safe for concurrent
 // use (concurrent sorts borrow separate contexts and key buffers).

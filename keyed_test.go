@@ -243,7 +243,7 @@ func TestKeyedZeroPayloadCopies(t *testing.T) {
 	defer s.Close()
 	const n = 5000
 	data := makeRecords(n, 9)
-	for i := 0; i < 3; i++ { // warm the pool, team and key buffers
+	for i := 0; i < 3; i++ { // warm the pool, crew and key buffers
 		if err := s.Sort(data); err != nil {
 			t.Fatal(err)
 		}

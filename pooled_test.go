@@ -138,8 +138,10 @@ func TestSorterSmallInputs(t *testing.T) {
 	}
 }
 
-// TestSorterChurn runs the kill/revive fault plane on every sort; the
-// outputs must be indistinguishable from faultless runs.
+// TestSorterChurn runs the kill/revive fault plane on every sort, from
+// two goroutines so faulted sorts overlap on the crew; the outputs must
+// be indistinguishable from faultless runs. Per-job kill flags mean one
+// sort's churn never leaks into the jobs pipelined around it.
 func TestSorterChurn(t *testing.T) {
 	s, err := NewSorter[int](WithWorkers(4), WithChurn(2))
 	if err != nil {
@@ -147,19 +149,35 @@ func TestSorterChurn(t *testing.T) {
 	}
 	defer s.Close()
 	rng := rand.New(rand.NewSource(4))
-	for i := 0; i < 10; i++ {
-		data := randSlice(rng, 300+50*i)
-		orig := append([]int(nil), data...)
-		if err := s.Sort(data); err != nil {
-			t.Fatalf("churn sort %d: %v", i, err)
+	inputs := make([][]int, 10)
+	origs := make([][]int, len(inputs))
+	for i := range inputs {
+		inputs[i] = randSlice(rng, 300+50*i)
+		origs[i] = append([]int(nil), inputs[i]...)
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, len(inputs))
+	for c := 0; c < 2; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := c; i < len(inputs); i += 2 {
+				errs[i] = s.Sort(inputs[i])
+			}
+		}(c)
+	}
+	wg.Wait()
+	for i := range inputs {
+		if errs[i] != nil {
+			t.Fatalf("churn sort %d: %v", i, errs[i])
 		}
-		checkSorted(t, data, orig)
+		checkSorted(t, inputs[i], origs[i])
 	}
 }
 
 // TestSorterCrashes fail-stops half the workers per sort without
 // revival; survivors must still produce correct output every time, and
-// the resident teams must be whole again for each next sort.
+// the resident crew must be whole again for each next sort.
 func TestSorterCrashes(t *testing.T) {
 	s, err := NewSorter[int](WithWorkers(4), WithCrashes(0.5, 32))
 	if err != nil {

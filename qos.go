@@ -9,7 +9,7 @@ import (
 
 // QueuePolicy re-exports the pipeline's pluggable queue order: Shed
 // decides which queued jobs are dropped as unmeetable, Pick chooses
-// the next job to dispatch. Install one on a pipelined pool with
+// the next job to dispatch. Install one on a pool with
 // WithQueuePolicy; internal/qos provides the production
 // priority/deadline scheduler. A nil policy is strict FIFO.
 type QueuePolicy = native.QueuePolicy
@@ -29,9 +29,8 @@ type JobQoS = native.JobQoS
 // queue.
 var ErrDeadlineShed = native.ErrDeadlineShed
 
-// WithQueuePolicy installs a queue policy on the pool's pipelined
-// crew, replacing FIFO dispatch of queued sorts. Requires WithPipeline
-// — a serial pool has no queue to order — and applies to NewPool/
+// WithQueuePolicy installs a queue policy on the pool's crew,
+// replacing FIFO dispatch of queued sorts. It applies to NewPool/
 // NewSorter only.
 func WithQueuePolicy(qp QueuePolicy) Option {
 	return func(c *config) {
@@ -46,8 +45,7 @@ type jobQoSKey struct{}
 // WithJobQoS returns a context carrying the QoS envelope for one
 // pooled SortContext call: the class label, priority tier, cost
 // estimate and deadline the pipeline's queue policy schedules by.
-// Sorts small enough for the fresh-sort cutoff, and pools without a
-// pipeline, ignore it.
+// Sorts small enough for the fresh-sort cutoff ignore it.
 func WithJobQoS(ctx context.Context, q JobQoS) context.Context {
 	return context.WithValue(ctx, jobQoSKey{}, q)
 }
@@ -65,9 +63,6 @@ func validateQueuePolicy(c config) error {
 	}
 	if c.queuePolicy == nil {
 		return fmt.Errorf("wfsort: WithQueuePolicy requires a non-nil policy")
-	}
-	if c.explicit&setPipeline == 0 {
-		return fmt.Errorf("wfsort: WithQueuePolicy requires WithPipeline (a serial pool has no queue to order)")
 	}
 	return nil
 }

@@ -21,16 +21,18 @@ func (fifoShedPolicy) Shed(now int64, j JobView) bool {
 func (fifoShedPolicy) Pick(now int64, pending []JobView) int { return 0 }
 
 func TestWithQueuePolicyValidation(t *testing.T) {
-	if _, err := NewPool(WithQueuePolicy(fifoShedPolicy{})); err == nil {
-		t.Fatal("WithQueuePolicy without WithPipeline accepted")
+	p, err := NewPool(WithQueuePolicy(fifoShedPolicy{}))
+	if err != nil {
+		t.Fatalf("queue policy on a default-depth pool rejected: %v", err)
 	}
+	p.Close()
 	if _, err := NewPool(WithPipeline(4), WithQueuePolicy(nil)); err == nil {
 		t.Fatal("nil queue policy accepted")
 	}
 	if err := Sort([]int{3, 1, 2}, WithQueuePolicy(fifoShedPolicy{})); err == nil {
 		t.Fatal("one-shot sort accepted WithQueuePolicy")
 	}
-	p, err := NewPool(WithWorkers(2), WithPipeline(4), WithQueuePolicy(fifoShedPolicy{}))
+	p, err = NewPool(WithWorkers(2), WithPipeline(4), WithQueuePolicy(fifoShedPolicy{}))
 	if err != nil {
 		t.Fatalf("valid pipelined pool rejected: %v", err)
 	}

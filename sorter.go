@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"wfsort/internal/model"
 	"wfsort/internal/native"
@@ -19,34 +18,32 @@ import (
 // Puts and Trims.
 type PoolStats = pool.Stats
 
-// Pool owns reusable sort contexts and resident worker teams, so
+// Pool owns reusable sort contexts and one resident worker crew, so
 // steady-state sorts build no arenas and spawn no goroutines. Contexts
 // come in power-of-two size classes (sizeclass.MinClass up to
 // sizeclass.MaxClass); a request for n elements borrows the smallest
 // class that fits, pads the tail with virtual greatest elements, sorts
 // at class capacity, and returns the context reset for the next
-// borrower. Workers live in resident teams whose goroutines survive
-// even the fault plane's kills: only the sort program unwinds, so a
-// team battered by WithChurn or WithCrashes is back at full strength
-// for its next job.
+// borrower. Every pooled sort runs on the pool's phase-pipelined crew
+// (native.Pipeline), whose goroutines survive even the fault plane's
+// kills: only the sort program unwinds, so a crew battered by
+// WithChurn or WithCrashes is back at full strength for its next job.
 //
 // The sort configuration (workers, variant, layout, seed, faults) is
 // fixed per pool — contexts are only interchangeable because every
 // sort uses the same arena layout. All methods are safe for concurrent
-// use; concurrent sorts each borrow their own context and team.
+// use; concurrent sorts each borrow their own context and overlap on
+// the shared crew.
 type Pool struct {
 	c    config
 	ctxs *pool.Pool
 	seq  atomic.Uint64
 
-	mu     sync.Mutex
-	teams  []*native.Team
-	closed bool
-
-	// Pipeline state (WithPipeline only): one resident phase-pipelined
-	// crew shared by every sort on the pool, built lazily on first use.
-	// pipeBusy counts sorts in flight on it so Close can defer the crew
-	// teardown until the last one returns.
+	// The crew is built lazily on first use. pipeBusy counts sorts in
+	// flight on it so Close can defer the crew teardown until the last
+	// one returns.
+	mu       sync.Mutex
+	closed   bool
 	pipe     *native.Pipeline
 	pipeBusy int
 }
@@ -86,7 +83,7 @@ func NewPool(opts ...Option) (*Pool, error) {
 	return p, nil
 }
 
-// WithPool makes NewSorter borrow contexts and teams from a shared
+// WithPool makes NewSorter borrow contexts and the crew from a shared
 // pool instead of owning one. The sorter inherits the pool's entire
 // configuration; combining WithPool with any other option is an error
 // (the pool's contexts were laid out for its configuration, so a
@@ -98,58 +95,37 @@ func WithPool(p *Pool) Option {
 // Stats snapshots the pool's context counters.
 func (p *Pool) Stats() PoolStats { return p.ctxs.Stats() }
 
-// Trim drops every idle context and parks no more idle teams than
-// sorts in flight, returning memory and goroutines during quiet
-// periods. The pipelined crew, when one exists, stays resident: its
-// lifetime is the pool's, because rebuilding it mid-stream would drop
-// the cross-job progress words the admission gate relies on.
-func (p *Pool) Trim() {
-	p.ctxs.Trim()
-	p.mu.Lock()
-	teams := p.teams
-	p.teams = nil
-	p.mu.Unlock()
-	for _, t := range teams {
-		t.Close()
-	}
-}
+// Trim drops every idle context, returning memory during quiet
+// periods. The crew stays resident: its lifetime is the pool's,
+// because rebuilding it mid-stream would drop the cross-job progress
+// words the admission gate relies on.
+func (p *Pool) Trim() { p.ctxs.Trim() }
 
-// Close releases idle teams and contexts. Sorts in flight finish
-// normally; their teams and contexts are dropped on return.
+// Close releases the crew and idle contexts. Sorts in flight finish
+// normally; the last one out closes the crew, and their contexts are
+// dropped on return. A sort started after Close still runs, on a crew
+// that closes again when it returns.
 func (p *Pool) Close() {
 	p.mu.Lock()
 	p.closed = true
-	teams := p.teams
-	p.teams = nil
 	var pl *native.Pipeline
 	if p.pipeBusy == 0 {
 		pl = p.pipe
 		p.pipe = nil
 	}
 	p.mu.Unlock()
-	for _, t := range teams {
-		t.Close()
-	}
 	if pl != nil {
 		pl.Close()
 	}
 	p.ctxs.Trim()
 }
 
-// borrowPipeline returns the pool's resident pipelined crew (building
-// it on first use) and registers one in-flight sort on it, or nil when
-// pipelining is off or the pool has closed — callers then fall back to
-// a serial team. Unlike teams, the crew is shared, not checked out:
-// overlapping sorts on it is the point.
+// borrowPipeline returns the pool's resident crew (building it on
+// first use) and registers one in-flight sort on it. The crew is
+// shared, not checked out: overlapping sorts on it is the point.
 func (p *Pool) borrowPipeline() *native.Pipeline {
-	if p.c.pipeDepth == 0 {
-		return nil
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed {
-		return nil
-	}
 	if p.pipe == nil {
 		p.pipe = native.NewPipelinePolicy(p.c.workers, p.c.pipeDepth, false, p.c.queuePolicy)
 	}
@@ -171,31 +147,6 @@ func (p *Pool) releasePipeline() {
 	if toClose != nil {
 		toClose.Close()
 	}
-}
-
-// getTeam pops an idle resident team or starts one.
-func (p *Pool) getTeam() *native.Team {
-	p.mu.Lock()
-	if n := len(p.teams); n > 0 {
-		t := p.teams[n-1]
-		p.teams = p.teams[:n-1]
-		p.mu.Unlock()
-		return t
-	}
-	p.mu.Unlock()
-	return native.NewTeam(p.c.workers, false)
-}
-
-// putTeam parks a team for reuse, or closes it when the pool is done.
-func (p *Pool) putTeam(t *native.Team) {
-	p.mu.Lock()
-	if !p.closed {
-		p.teams = append(p.teams, t)
-		p.mu.Unlock()
-		return
-	}
-	p.mu.Unlock()
-	t.Close()
 }
 
 // putCtx returns a context unless the pool has been closed.
@@ -344,52 +295,36 @@ func (s *Sorter[E]) SortContext(ctx context.Context, data []E) error {
 	return nil
 }
 
-// runPooled executes one sort job on the pool's machinery — pipelined
-// crew when configured, serial team otherwise — with the QoS envelope
-// and trace sink drawn from ctx, an abort watcher on ctx cancellation,
-// and rank validation. On success pc.Places[:n] holds each element's
-// 1-based rank. It is the shared core under Sorter (payload-copying,
-// comparator-ordered) and KeyedSorter (zero-copy, key-ordered): both
-// reduce their ordering to an idxLess over 1-based arena indices and
-// diverge only in how the permutation is applied afterwards.
+// runPooled executes one sort job on the pool's crew, with the QoS
+// envelope and trace sink drawn from ctx, an abort watcher on ctx
+// cancellation, and rank validation. On success pc.Places[:n] holds
+// each element's 1-based rank. It is the shared core under Sorter
+// (payload-copying, comparator-ordered) and KeyedSorter (zero-copy,
+// key-ordered): both reduce their ordering to an idxLess over 1-based
+// arena indices and diverge only in how the permutation is applied
+// afterwards.
 func (p *Pool) runPooled(ctx context.Context, pc *pool.Ctx, n int, idxLess func(i, j int) bool) error {
 	seq := p.seq.Add(1)
 	c := p.c
 	sink := sortTraceFrom(ctx)
-	var run sortRun
-	var pipeRun *native.PipeRun
-	var teamStart time.Time
-	if pl := p.borrowPipeline(); pl != nil {
-		defer p.releasePipeline()
-		// The request's QoS envelope rides the context; the queue policy
-		// schedules by it. EstCost defaults to the borrowed class
-		// capacity — the size the sort actually runs at.
-		q, _ := jobQoSFrom(ctx)
-		if q.EstCost == 0 {
-			q.EstCost = int64(pc.Capacity)
-		}
-		pipeRun = pl.Submit(native.PipeJob{
-			Graph:     pc.Runner.Graph(),
-			Mem:       pc.Mem,
-			Less:      idxLess,
-			Seed:      c.seed + seq,
-			Adversary: c.adversary(seq),
-			QoS:       q,
-			Traced:    sink != nil,
-		})
-		run = pipeRun
-	} else {
-		team := p.getTeam()
-		defer p.putTeam(team)
-		teamStart = time.Now()
-		run = team.Start(native.TeamJob{
-			Prog:      pc.Runner.Program(),
-			Mem:       pc.Mem,
-			Less:      idxLess,
-			Seed:      c.seed + seq,
-			Adversary: c.adversary(seq),
-		})
+	pl := p.borrowPipeline()
+	defer p.releasePipeline()
+	// The request's QoS envelope rides the context; the queue policy
+	// schedules by it. EstCost defaults to the borrowed class capacity —
+	// the size the sort actually runs at.
+	q, _ := jobQoSFrom(ctx)
+	if q.EstCost == 0 {
+		q.EstCost = int64(pc.Capacity)
 	}
+	run := pl.Submit(native.PipeJob{
+		Graph:     pc.Runner.Graph(),
+		Mem:       pc.Mem,
+		Less:      idxLess,
+		Seed:      c.seed + seq,
+		Adversary: c.adversary(seq),
+		QoS:       q,
+		Traced:    sink != nil,
+	})
 	var watcherDone chan struct{}
 	if ctx.Done() != nil {
 		watcherDone = make(chan struct{})
@@ -408,14 +343,10 @@ func (p *Pool) runPooled(ctx context.Context, pc *pool.Ctx, n int, idxLess func(
 	if sink != nil {
 		// Fill the caller's trace sink even on error paths: a shed or
 		// aborted sort still reports its queue wait.
-		if pipeRun != nil {
-			t := pipeRun.Timing()
-			sink.QueueWaitNs = t.QueueWaitNs
-			sink.RunNs = t.RunNs
-			sink.Phases = t.Phases
-		} else {
-			sink.RunNs = time.Since(teamStart).Nanoseconds()
-		}
+		t := run.Timing()
+		sink.QueueWaitNs = t.QueueWaitNs
+		sink.RunNs = t.RunNs
+		sink.Phases = t.Phases
 	}
 	if runErr != nil {
 		return runErr
@@ -435,15 +366,6 @@ func (p *Pool) runPooled(ctx context.Context, pc *pool.Ctx, n int, idxLess func(
 		}
 	}
 	return nil
-}
-
-// sortRun is the common handle over a serial team job (*native.TeamRun)
-// and a pipelined job (*native.PipeRun), so SortContext's wait, cancel
-// and certification logic exists once.
-type sortRun interface {
-	Wait() (*model.Metrics, error)
-	Abort()
-	Aborted() bool
 }
 
 // getBuf borrows an input-copy buffer with capacity >= n.

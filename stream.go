@@ -4,9 +4,9 @@ package wfsort
 // size-class chunks through the resident crew and k-way merging the
 // sorted runs. SortStream reads keys from a KeyReader in chunks of
 // ChunkKeys, sorts each chunk as one pooled job (so chunks overlap at
-// phase granularity on a WithPipeline pool — the PR 5 admission gate
-// is what makes "external sort" and "serving pipeline" the same
-// machine), spills sorted chunks as wire.KindChunk blocks in one
+// phase granularity on the pool's crew — the admission gate is what
+// makes "external sort" and "serving pipeline" the same machine),
+// spills sorted chunks as wire.KindChunk blocks in one
 // temporary file, and finally streams a k-way merge (internal/merge)
 // of the spilled runs into the KeyWriter. Peak memory is
 // O(Depth·ChunkKeys + fan-in·MergeBufKeys), independent of N; the
@@ -77,21 +77,21 @@ type StreamConfig struct {
 	// pooled context). It is the memory knob: peak usage scales with
 	// ChunkKeys, never with the input.
 	ChunkKeys int
-	// Depth bounds chunk sorts in flight (default 4). On a pipelined
-	// pool this is how many chunks overlap on the crew.
+	// Depth bounds chunk sorts in flight (default 4): how many chunks
+	// overlap on the crew.
 	Depth int
 	// MergeBufKeys is the per-run frame size of the final merge
 	// (default 4096).
 	MergeBufKeys int
 	// SpillDir is where the spill file lives (default os.TempDir()).
 	SpillDir string
-	// Pool supplies the sorting machinery. nil builds a private
-	// pipelined pool from Options for the duration of the call;
+	// Pool supplies the sorting machinery. nil builds a private pool
+	// from Options for the duration of the call;
 	// non-nil reuses a shared pool (its configuration wins) and
 	// Options must be empty.
 	Pool *Pool
 	// Options configures the private pool when Pool is nil — same
-	// options as NewPool; WithPipeline(Depth) is implied when absent.
+	// options as NewPool.
 	Options []Option
 }
 
@@ -155,12 +155,8 @@ func SortStream(ctx context.Context, dst KeyWriter, src KeyReader, cfg StreamCon
 	}
 	p := cfg.Pool
 	if p == nil {
-		opts := cfg.Options
-		if !hasPipelineOpt(opts) {
-			opts = append(append([]Option(nil), opts...), WithPipeline(cfg.Depth))
-		}
 		var err error
-		p, err = NewPool(opts...)
+		p, err = NewPool(cfg.Options...)
 		if err != nil {
 			return st, err
 		}
@@ -186,14 +182,14 @@ func SortStream(ctx context.Context, dst KeyWriter, src KeyReader, cfg StreamCon
 		return &b
 	}}
 	var (
-		inSum, inXor int64
-		runs         []spillRun
-		spill        *os.File
-		spillOff     int64
-		sem          = make(chan struct{}, cfg.Depth)
-		results      = make(chan *sortedChunk, cfg.Depth)
-		pending      int
-		readErr      error
+		in       wire.Ledger // fold of everything read
+		runs     []spillRun
+		spill    *os.File
+		spillOff int64
+		sem      = make(chan struct{}, cfg.Depth)
+		results  = make(chan *sortedChunk, cfg.Depth)
+		pending  int
+		readErr  error
 	)
 	defer func() {
 		if spill != nil {
@@ -268,10 +264,8 @@ func SortStream(ctx context.Context, dst KeyWriter, src KeyReader, cfg StreamCon
 			bufPool.Put(buf)
 			break
 		}
-		s, x := wire.Fold(chunk[:filled])
-		inSum += s
-		inXor ^= x
-		st.Keys += int64(filled)
+		in.Add(chunk[:filled])
+		st.Keys, st.Sum, st.Xor = in.N, in.Sum, in.Xor
 		st.Chunks++
 
 		if st.Chunks == 1 && readErr == io.EOF {
@@ -284,7 +278,6 @@ func SortStream(ctx context.Context, dst KeyWriter, src KeyReader, cfg StreamCon
 				return st, err
 			}
 			bufPool.Put(buf)
-			st.Sum, st.Xor = inSum, inXor
 			return st, nil
 		}
 
@@ -312,7 +305,6 @@ func SortStream(ctx context.Context, dst KeyWriter, src KeyReader, cfg StreamCon
 			return st, fail(err)
 		}
 	}
-	st.Sum, st.Xor = inSum, inXor
 	if st.Keys == 0 {
 		return st, nil
 	}
@@ -329,21 +321,17 @@ func SortStream(ctx context.Context, dst KeyWriter, src KeyReader, cfg StreamCon
 			max: r.keys,
 		}
 	}
-	var outSum, outXor int64
-	var outKeys int64
+	var out wire.Ledger
 	err = merge.Streams(func(keys []int64) error {
-		s, x := wire.Fold(keys)
-		outSum += s
-		outXor ^= x
-		outKeys += int64(len(keys))
+		out.Add(keys)
 		return dst.WriteKeys(keys)
 	}, srcs, cfg.MergeBufKeys)
 	if err != nil {
 		return st, fmt.Errorf("wfsort: stream merge: %w", err)
 	}
-	if outKeys != st.Keys || outSum != inSum || outXor != inXor {
+	if out != in {
 		return st, fmt.Errorf("wfsort: stream ledger mismatch: read %d keys (sum=%d xor=%d), merged %d (sum=%d xor=%d)",
-			st.Keys, inSum, inXor, outKeys, outSum, outXor)
+			in.N, in.Sum, in.Xor, out.N, out.Sum, out.Xor)
 	}
 	return st, nil
 }
@@ -383,15 +371,4 @@ func writeFrames(dst KeyWriter, keys []int64, frameKeys int) error {
 		}
 	}
 	return nil
-}
-
-// hasPipelineOpt reports whether opts already sets WithPipeline, so
-// SortStream's private pool only defaults the depth when the caller
-// didn't choose one.
-func hasPipelineOpt(opts []Option) bool {
-	var c config
-	for _, o := range opts {
-		o(&c)
-	}
-	return c.explicit&setPipeline != 0
 }

@@ -7,21 +7,18 @@ import (
 )
 
 // PhaseDur re-exports one worker phase's crew-wide duration from a
-// traced pipelined sort.
+// traced pooled sort.
 type PhaseDur = native.PhaseDur
 
 // SortTrace is the per-call timing sink a caller may attach to a
 // pooled SortContext via WithSortTrace. After SortContext returns, the
 // sink holds the sort's interior attribution:
 //
-//   - QueueWaitNs: time the job spent in the pipelined crew's pending
-//     queue before dispatch (0 on serial-team and fresh-path sorts,
-//     which have no queue);
-//   - RunNs: crew-execution wall time, dispatch (or team start) to
-//     last worker done;
+//   - QueueWaitNs: time the job spent in the crew's pending queue
+//     before dispatch (0 on fresh-path sorts, which have no queue);
+//   - RunNs: crew-execution wall time, dispatch to last worker done;
 //   - Phases: per-phase breakdown of RunNs using the engine graph's
-//     phase labels (pipelined sorts only — the serial team has no
-//     phase notification hook).
+//     phase labels.
 //
 // The sink is written once, by the SortContext call itself, after the
 // run completes — no concurrent access unless the caller shares one

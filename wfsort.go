@@ -163,7 +163,7 @@ type config struct {
 	crashFrac   float64            // native only: fail-stop a seeded fraction
 	crashWindow int64              // op-ordinal window for crashFrac strikes
 	pool        *Pool              // NewSorter only
-	pipeDepth   int                // NewPool/NewSorter only: phase-pipelined crew depth
+	pipeDepth   int                // NewPool/NewSorter only: crew's pending-queue bound
 	queuePolicy native.QueuePolicy // NewPool/NewSorter only: pipeline queue order
 	explicit    int                // set* bits
 }
@@ -238,15 +238,18 @@ func WithCrashes(frac float64, window int64) Option {
 	}
 }
 
-// WithPipeline routes a pool's queued sorts through one resident
-// phase-pipelined crew instead of per-sort serial teams: a worker that
+// defaultPipeDepth is the crew's pending-queue bound when WithPipeline
+// is not given.
+const defaultPipeDepth = 64
+
+// WithPipeline sets how many sorts may wait in the pending queue of a
+// pool's crew; further submitters block until a slot frees. Every
+// pooled sort runs on one resident phase-pipelined crew: a worker that
 // finishes sort k moves straight to sort k+1, gated only by every
 // worker having cleared phase 1 of sort k, so the crew never idles
-// behind its slowest member at a job boundary. depth bounds how many
-// sorts may queue per worker beyond the one in flight; depth < 1 means
-// 1. Pools and pooled sorters only — one-shot Sort/SortFunc and
-// Simulate have exactly one job, so there is nothing to pipeline and
-// they reject the option.
+// behind its slowest member at a job boundary. depth < 1 means 1; the
+// default is 64. Pools and pooled sorters only — one-shot Sort/SortFunc
+// and Simulate have exactly one job, so they reject the option.
 func WithPipeline(depth int) Option {
 	return func(c *config) {
 		if depth < 1 {
@@ -260,7 +263,7 @@ func WithPipeline(depth int) Option {
 // applyOptions folds opts over the defaults and validates everything
 // that does not depend on the input size.
 func applyOptions(opts []Option) (config, error) {
-	c := config{workers: runtime.GOMAXPROCS(0), variant: Randomized}
+	c := config{workers: runtime.GOMAXPROCS(0), variant: Randomized, pipeDepth: defaultPipeDepth}
 	for _, o := range opts {
 		o(&c)
 	}
