@@ -33,6 +33,7 @@ import (
 	"wfsort/internal/native"
 	"wfsort/internal/obs"
 	"wfsort/internal/pram"
+	"wfsort/internal/sizeclass"
 	"wfsort/internal/xrand"
 )
 
@@ -64,10 +65,13 @@ func (l Layout) String() string {
 // Layouts lists every native arena layout.
 func Layouts() []Layout { return []Layout{LayoutSharded, LayoutPadded, LayoutFlat} }
 
-// ArenaFor mirrors the root package's layout -> (allocator, tuning)
-// mapping (wfsort.nativeArena); keep the two in sync. Exported so the
-// native-runtime CLIs (cmd/trace, cmd/stress) build the same arenas
-// the sweep certifies.
+// ArenaFor is the layout -> (allocator, tuning) mapping every native
+// sort uses: the root package's WithLayout resolves through it, and the
+// native-runtime CLIs (cmd/trace, cmd/stress) build the same arenas the
+// sweep certifies. Under LayoutSharded, sizeclass.Batch picks the
+// work-claim granularity, shared with the pooled serving layer so arena
+// sizing and batch sizing never drift apart; wait-freedom never depends
+// on it (a block is a bigger idempotent job).
 func ArenaFor(n, workers int, l Layout) (model.Allocator, core.Tuning) {
 	switch l {
 	case LayoutFlat:
@@ -75,15 +79,8 @@ func ArenaFor(n, workers int, l Layout) (model.Allocator, core.Tuning) {
 	case LayoutPadded:
 		return native.NewArena(native.Padded), core.Tuning{}
 	default: // LayoutSharded
-		batch := n / (4 * workers)
-		if batch > 128 {
-			batch = 128
-		}
-		if batch < 1 {
-			batch = 1
-		}
 		return native.NewArena(native.Padded), core.Tuning{
-			Batch:       batch,
+			Batch:       sizeclass.Batch(n, workers),
 			SkipKeyRead: true,
 			Shards:      min(workers, 8),
 			HostShuffle: true,

@@ -90,7 +90,7 @@ func TestTunedSorterCounterTotals(t *testing.T) {
 				t.Fatalf("alloc=%v: element %d rank %d, want %d", alloc, i+1, got[i], want)
 			}
 		}
-		_, sum, place := s.CounterTotals(m.Memory())
+		sum, place := s.CounterTotals(m.Memory())
 		if sum != n || place != n {
 			t.Fatalf("alloc=%v: counter totals sum=%d place=%d, want %d each", alloc, sum, place, n)
 		}

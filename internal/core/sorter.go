@@ -78,19 +78,13 @@ type Tuning struct {
 	// paper's accounting (keys never enter shared memory); on hardware
 	// it is one wasted atomic load per descent level.
 	SkipKeyRead bool
-	// Shards > 0 enables sharded counters with that many slots: the
-	// randomized allocation's miss counter and the phase-2/3 completion
-	// counters, each aggregated on read.
+	// Shards > 0 enables the phase-2/3 install counters, sharded over
+	// that many slots and aggregated on read.
 	Shards int
 	// HostShuffle skips phase 4 (the output shuffle). The native driver
 	// already scatters elements from the rank table host-side, so the
 	// shared-memory write-all pass is redundant work there.
 	HostShuffle bool
-}
-
-// enabled reports whether any fast-path deviation is active.
-func (t Tuning) enabled() bool {
-	return t.Batch > 1 || t.SkipKeyRead || t.Shards > 0 || t.HostShuffle
 }
 
 // Alloc selects the phase-1 work-allocation strategy.
@@ -118,11 +112,9 @@ type Sorter struct {
 	alloc Alloc
 	tun   Tuning
 
-	// missCtr aggregates randomized-allocation misses across workers;
 	// sumCtr and placeCtr count distinct phase-2 size installs and
-	// phase-3 place installs (see Tuning.Shards). All are zero-valued
+	// phase-3 place installs (see Tuning.Shards). Both are zero-valued
 	// (free) unless the sorter was built with NewSorterTuned.
-	missCtr  ShardedCounter
 	sumCtr   ShardedCounter
 	placeCtr ShardedCounter
 
@@ -194,7 +186,6 @@ func NewSorterTuned(a model.Allocator, n int, alloc Alloc, tun Tuning) *Sorter {
 		s.build = wat.NewNamed(a, "wat.build", ceilDiv(n-1, tun.Batch))
 	}
 	if tun.Shards > 0 {
-		s.missCtr = NewShardedCounter(a, "miss", tun.Shards)
 		s.sumCtr = NewShardedCounter(a, "sum", tun.Shards)
 		s.placeCtr = NewShardedCounter(a, "place", tun.Shards)
 	}
@@ -279,10 +270,9 @@ func (s *Sorter) buildGraph() {
 		g.Add(engine.Phase{
 			Name: "1:build",
 			Body: func(p model.Proc, _ any) { s.BuildPhase(p) },
-			// The deterministic completion sweep drives next_element to
-			// NoWork, which requires the build WAT's root mark — so a
-			// doneish root certifies every insertion, even when the
-			// randomized allocation bailed out early on its miss counter.
+			// The completion sweep drives next_element to NoWork, which
+			// requires the build WAT's root mark — so a doneish root
+			// certifies every insertion under either allocation.
 			Done: func(mem []Word) bool { return model.Doneish(mem[leafAddr(s.build, 1)]) },
 		})
 		g.Add(engine.Phase{
@@ -435,62 +425,54 @@ func (s *Sorter) buildSpan(j int) (lo, hi int) {
 	return lo, hi
 }
 
-// buildJob inserts every element of build job j in ascending order.
-func (s *Sorter) buildJob(p model.Proc, j int) {
-	lo, hi := s.buildSpan(j)
-	for e := lo; e <= hi; e++ {
-		s.BuildTree(p, e)
-	}
-}
-
 // buildJobShuffled inserts build job j's elements in a random order
 // drawn from the worker's private stream. With Batch > 1 a job may span
 // a run of consecutive input positions; inserting the run in input
 // order would grow pivot-tree chains of up to Batch nodes on sorted
 // inputs, so the within-block order is shuffled to keep the randomized
-// allocation's O(log N)-depth argument intact. scratch is worker-local
-// scrap reused across jobs.
-func (s *Sorter) buildJobShuffled(p model.Proc, j int, rng *model.Rng, scratch []int) []int {
+// allocation's O(log N)-depth argument intact. A one-element job draws
+// nothing from the stream, so at Batch 1 the operation sequence is the
+// paper's. scratch is worker-local scrap of Batch elements, reused
+// across jobs.
+func (s *Sorter) buildJobShuffled(p model.Proc, j int, rng *model.Rng, scratch []int) {
 	lo, hi := s.buildSpan(j)
-	if lo == hi {
-		s.BuildTree(p, lo)
-		return scratch
+	block := scratch[:hi-lo+1]
+	for k := range block {
+		block[k] = lo + k
 	}
-	scratch = scratch[:0]
-	for e := lo; e <= hi; e++ {
-		scratch = append(scratch, e)
-	}
-	for i := len(scratch) - 1; i > 0; i-- {
+	for i := len(block) - 1; i > 0; i-- {
 		k := rng.Intn(i + 1)
-		scratch[i], scratch[k] = scratch[k], scratch[i]
+		block[i], block[k] = block[k], block[i]
 	}
-	for _, e := range scratch {
+	for _, e := range block {
 		s.BuildTree(p, e)
 	}
-	return scratch
 }
 
 // buildPhaseWAT is phase 1 under deterministic WAT allocation (Fig. 2
-// with build_tree as func).
+// with build_tree as func), inserting each job's elements in ascending
+// order.
 func (s *Sorter) buildPhaseWAT(p model.Proc) {
 	s.build.Run(p, func(j int) {
-		s.buildJob(p, j)
+		lo, hi := s.buildSpan(j)
+		for e := lo; e <= hi; e++ {
+			s.BuildTree(p, e)
+		}
 	})
 }
 
 // buildPhaseRandomized is phase 1 under the randomized allocation of
 // §2.3: pick uniform random jobs and insert them, marking progress
-// up the WAT, until log N consecutive picks were already done; then
-// switch to next_element. When the sharded miss counter is enabled
-// (native fast path), workers also aggregate their misses and bail out
-// to the deterministic completion sweep once the whole fleet's miss
-// count shows the tree is saturated — the sweep is the correctness
-// backstop either way, so any early-exit policy is safe.
+// up the WAT, until this worker sees log N consecutive picks that were
+// already done; then switch to next_element. The completion sweep
+// inserts each remaining block in shuffled order too, so no block is
+// ever inserted as an ascending run of input positions and the
+// O(log N)-depth argument holds for any input order.
 func (s *Sorter) buildPhaseRandomized(p model.Proc) {
 	jobs := s.build.Jobs()
 	logN := bits.Len(uint(jobs)) + 1
 	rng := p.Rand()
-	var scratch []int
+	scratch := make([]int, s.batch())
 	misses := 0
 	last := s.build.LeafNode(rng.Intn(jobs))
 	for misses < logN {
@@ -499,23 +481,17 @@ func (s *Sorter) buildPhaseRandomized(p model.Proc) {
 		last = leaf
 		if p.Read(leafAddr(s.build, leaf)) == model.Done {
 			misses++
-			if s.missCtr.Enabled() {
-				s.missCtr.Add(p, 1)
-				if misses&3 == 0 && s.missCtr.Sum(p) >= Word(4*logN) {
-					break
-				}
-			}
 			continue
 		}
 		misses = 0
-		scratch = s.buildJobShuffled(p, j, rng, scratch)
+		s.buildJobShuffled(p, j, rng, scratch)
 		s.markClimb(p, leaf)
 	}
-	// Deterministic completion from the last (done) leaf.
+	// Completion sweep from the last (done) leaf.
 	i := last
 	for i != wat.NoWork {
 		if j := s.build.JobOf(i); j >= 0 {
-			s.buildJob(p, j)
+			s.buildJobShuffled(p, j, rng, scratch)
 		}
 		i = s.build.NextElement(p, i)
 	}
@@ -768,23 +744,36 @@ func (s *Sorter) Output(mem []Word) []int {
 // measured host-side after a run; 0 for an empty tree. Experiment E12
 // uses it to validate the O(log N) w.h.p. claim of Lemma 2.8.
 func (s *Sorter) Depth(mem []Word) int {
-	return s.depthFrom(mem, 1)
+	return s.DepthFrom(mem, 1)
 }
 
 // DepthFrom returns the depth of the subtree rooted at element i,
 // measured host-side after a run (the §3 sorter's root is a sample
 // element rather than element 1).
 func (s *Sorter) DepthFrom(mem []Word, i int) int {
-	return s.depthFrom(mem, i)
-}
-
-func (s *Sorter) depthFrom(mem []Word, i int) int {
 	if i == 0 {
 		return 0
 	}
-	dS := s.depthFrom(mem, int(mem[s.child[Small].At(i)]))
-	dB := s.depthFrom(mem, int(mem[s.child[Big].At(i)]))
+	dS := s.DepthFrom(mem, int(mem[s.child[Small].At(i)]))
+	dB := s.DepthFrom(mem, int(mem[s.child[Big].At(i)]))
 	return 1 + max(dS, dB)
+}
+
+// MeanDepth returns the mean depth of the pivot tree's n nodes (root =
+// depth 1), measured host-side after a completed run: the average
+// insertion path length, where Depth is the worst one.
+func (s *Sorter) MeanDepth(mem []Word) float64 {
+	return float64(s.depthSum(mem, 1, 1)) / float64(s.n)
+}
+
+// depthSum returns the sum of node depths in the subtree rooted at
+// element i, which sits at depth d.
+func (s *Sorter) depthSum(mem []Word, i, d int) int {
+	if i == 0 {
+		return 0
+	}
+	return d + s.depthSum(mem, int(mem[s.child[Small].At(i)]), d+1) +
+		s.depthSum(mem, int(mem[s.child[Big].At(i)]), d+1)
 }
 
 // Shared-memory address accessors, used by the §3 low-contention sort
@@ -847,13 +836,12 @@ func leafAddr(w *wat.WAT, node int) int { return w.NodeAddr(node) }
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
 // CounterTotals reports the sharded counters' host-side aggregates
-// after a run: randomized-allocation misses, distinct phase-2 size
-// installs and distinct phase-3 place installs. All zero unless the
-// sorter was built with Tuning.Shards > 0. After a completed tuned run
-// the install counters must both equal N — the invariant the fast-path
-// tests pin down.
-func (s *Sorter) CounterTotals(mem []Word) (miss, sum, place Word) {
-	return s.missCtr.HostSum(mem), s.sumCtr.HostSum(mem), s.placeCtr.HostSum(mem)
+// after a run: distinct phase-2 size installs and distinct phase-3
+// place installs. Both zero unless the sorter was built with
+// Tuning.Shards > 0. After a completed tuned run both must equal N —
+// the invariant the fast-path tests pin down.
+func (s *Sorter) CounterTotals(mem []Word) (sum, place Word) {
+	return s.sumCtr.HostSum(mem), s.placeCtr.HostSum(mem)
 }
 
 // Tuning returns the sorter's fast-path configuration.

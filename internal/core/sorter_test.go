@@ -1,13 +1,16 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
 	"testing/quick"
 
 	"wfsort/internal/model"
+	"wfsort/internal/native"
 	"wfsort/internal/pram"
+	"wfsort/internal/sizeclass"
 	"wfsort/internal/xrand"
 )
 
@@ -334,6 +337,71 @@ func TestRandomizedAllocationKeepsTreeShallow(t *testing.T) {
 		// insertion order still makes a deep tree; just check it is
 		// much deeper than the randomized one.
 		t.Logf("deterministic depth %d vs randomized %d", dDet, dRnd)
+	}
+}
+
+// TestTunedRandomizedAllocationKeepsTreeShallow holds the native fast
+// path to the same §2.3 bound on real goroutines: the LayoutSharded
+// tuning (block claims sized by sizeclass.Batch, sharded install
+// counters) at P=2, on uniform, sorted and reversed inputs, plus a
+// pooled request at 0.55x its size class, whose virtual pads (ids past
+// the request, greatest and ordered by index) form a sorted tail. The
+// bounds sit ~1.3x (mean) and ~1.4x (max) above the worst of 20 seeds.
+// A completion sweep that inserts whole blocks in ascending order grows
+// chains thousands of nodes deep on the sorted, reversed and padded
+// inputs and fails them.
+func TestTunedRandomizedAllocationKeepsTreeShallow(t *testing.T) {
+	const meanBound, maxBound = 6, 14 // × log2 N
+	type tc struct {
+		name    string
+		n, real int
+		key     func(i int) int
+	}
+	rng := xrand.New(5)
+	var cases []tc
+	for _, n := range []int{16 << 10, 256 << 10} {
+		cases = append(cases,
+			tc{"uniform", n, n, func(int) int { return rng.Intn(4 * n) }},
+			tc{"sorted", n, n, func(i int) int { return i }},
+			tc{"reversed", n, n, func(i int) int { return n - i }})
+	}
+	cases = append(cases, tc{"pooled", 256 << 10, 256 << 10 * 55 / 100, func(int) int { return rng.Intn(1 << 20) }})
+	for _, c := range cases {
+		t.Run(fmt.Sprintf("%s/N=%d", c.name, c.n), func(t *testing.T) {
+			keys := make([]int, c.real)
+			for i := range keys {
+				keys[i] = c.key(i)
+			}
+			byKey := lessFor(keys)
+			less := func(i, j int) bool {
+				if i > c.real || j > c.real {
+					return i < j
+				}
+				return byKey(i, j)
+			}
+			arena := native.NewArena(native.Padded)
+			s := NewSorterTuned(arena, c.n, AllocRandomized, Tuning{
+				Batch: sizeclass.Batch(c.n, 2), SkipKeyRead: true, Shards: 2, HostShuffle: true,
+			})
+			rt := native.New(native.Config{P: 2, Mem: arena.Size(), Seed: 3, Less: less})
+			s.Seed(rt.Memory())
+			if _, err := rt.Run(s.Program()); err != nil {
+				t.Fatal(err)
+			}
+			mem := rt.Memory()
+			got := s.Places(mem)
+			for i, want := range wantRanks(keys) {
+				if got[i] != want {
+					t.Fatalf("element %d rank %d, want %d", i+1, got[i], want)
+				}
+			}
+			logN := math.Log2(float64(c.n))
+			mean, depth := s.MeanDepth(mem), s.Depth(mem)
+			if mean > meanBound*logN || float64(depth) > maxBound*logN {
+				t.Errorf("mean depth %.1f (bound %.0f), max depth %d (bound %.0f)",
+					mean, meanBound*logN, depth, maxBound*logN)
+			}
+		})
 	}
 }
 

@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"sort"
 
+	"wfsort/internal/chaos"
 	"wfsort/internal/core"
 	"wfsort/internal/lowcont"
 	"wfsort/internal/model"
+	"wfsort/internal/native"
 	"wfsort/internal/pram"
 	"wfsort/internal/xrand"
 )
@@ -92,13 +94,15 @@ func WantRanks(keys []int) []int {
 	return ranks
 }
 
-// SortResult is the outcome of one simulated sort run.
+// SortResult is the outcome of one verified sort run.
 type SortResult struct {
 	Metrics *model.Metrics
 	// Correct reports whether every element received its true rank.
 	Correct bool
 	// Depth is the pivot tree's depth.
 	Depth int
+	// MeanDepth is the mean node depth (Section 2 sorts only).
+	MeanDepth float64
 }
 
 // RunCoreSort executes the Section 2 sort on the simulator and verifies
@@ -109,13 +113,31 @@ func RunCoreSort(keys []int, p int, alloc core.Alloc, seed uint64, sched pram.Sc
 	m := pram.New(pram.Config{P: p, Mem: a.Size(), Seed: seed, Sched: sched, Less: LessFor(keys)})
 	s.Seed(m.Memory())
 	met, err := m.Run(s.Program())
+	return coreResult(s, m.Memory(), met, err, keys)
+}
+
+// RunShardedNativeSort executes the randomized Section 2 sort on the
+// native runtime under the library's default LayoutSharded tuning, with
+// op counts, and verifies the result.
+func RunShardedNativeSort(keys []int, p int, seed uint64) (SortResult, error) {
+	a, tun := chaos.ArenaFor(len(keys), p, chaos.LayoutSharded)
+	s := core.NewSorterTuned(a, len(keys), core.AllocRandomized, tun)
+	rt := native.New(native.Config{P: p, Mem: a.Size(), Seed: seed, Less: LessFor(keys), CountOps: true})
+	s.Seed(rt.Memory())
+	met, err := rt.Run(s.Program())
+	return coreResult(s, rt.Memory(), met, err, keys)
+}
+
+// coreResult verifies a finished Section 2 run and measures its tree.
+func coreResult(s *core.Sorter, mem []model.Word, met *model.Metrics, err error, keys []int) (SortResult, error) {
 	if err != nil {
 		return SortResult{Metrics: met}, err
 	}
 	return SortResult{
-		Metrics: met,
-		Correct: ranksMatch(s.Places(m.Memory()), keys),
-		Depth:   s.Depth(m.Memory()),
+		Metrics:   met,
+		Correct:   ranksMatch(s.Places(mem), keys),
+		Depth:     s.Depth(mem),
+		MeanDepth: s.MeanDepth(mem),
 	}, nil
 }
 

@@ -71,8 +71,8 @@ func TestRespawnHelpsFinish(t *testing.T) {
 }
 
 // layoutCase is one native arena layout with its tuning, replicating
-// the root package's WithLayout mapping (wfsort.nativeArena, mirrored
-// by chaos.arenaFor) so in-package tests cover the same configurations.
+// the WithLayout mapping (chaos.ArenaFor, which wfsort.nativeArena
+// resolves through) so in-package tests cover the same configurations.
 type layoutCase struct {
 	name  string
 	alloc model.Allocator

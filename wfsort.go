@@ -32,6 +32,7 @@ import (
 	"runtime"
 	"sync"
 
+	"wfsort/internal/chaos"
 	"wfsort/internal/core"
 	"wfsort/internal/lowcont"
 	"wfsort/internal/model"
@@ -39,7 +40,6 @@ import (
 	"wfsort/internal/obs"
 	"wfsort/internal/pool"
 	"wfsort/internal/pram"
-	"wfsort/internal/sizeclass"
 	"wfsort/internal/xrand"
 )
 
@@ -54,7 +54,7 @@ const (
 	Deterministic Variant = iota
 	// Randomized is the Section 2 algorithm with the §2.3 randomized
 	// work allocation: the pivot tree is O(log N) deep w.h.p. for any
-	// input order. The default.
+	// input order, on every layout. The default.
 	Randomized
 	// LowContention is the Section 3 algorithm: sqrt(P) processor
 	// groups, winner selection and a duplicated fat tree cut memory
@@ -89,9 +89,10 @@ const (
 	// LayoutSharded is the contention-sharded fast path and the
 	// default: cache-line padded hot words, work claimed in blocks so
 	// the work-assignment trees' root traffic is amortized, sharded
-	// miss/completion counters that aggregate on read, no accounting
-	// key reads, and the output scatter done host-side. Fastest; same
-	// wait-freedom and crash tolerance as the paper's algorithm.
+	// phase-2/3 completion counters that aggregate on read, no
+	// accounting key reads, and the output scatter done host-side.
+	// Fastest; same wait-freedom, crash tolerance and O(log N)
+	// pivot-tree depth as the paper's algorithm.
 	LayoutSharded Layout = iota
 	// LayoutPadded keeps the paper's per-element claims and operation
 	// sequence but aligns structures to cache lines and pads hot words
@@ -336,29 +337,13 @@ func (c config) adversary(seq uint64) model.Adversary {
 }
 
 // nativeArena builds the allocator and fast-path tuning for one native
-// sort. Only SortFunc calls it; Simulate always lays out on the dense
-// model.Arena with zero tuning, which is what keeps simulated metrics
-// independent of this whole mechanism.
+// sort: chaos.ArenaFor, whose Layout values mirror this package's, so
+// the chaos sweep and experiment E12 run exactly the arenas the library
+// does. Simulate always lays out on the dense model.Arena with zero
+// tuning, which is what keeps simulated metrics independent of this
+// whole mechanism.
 func nativeArena(n int, c config) (model.Allocator, core.Tuning) {
-	switch c.layout {
-	case LayoutFlat:
-		return &model.Arena{}, core.Tuning{}
-	case LayoutPadded:
-		return native.NewArena(native.Padded), core.Tuning{}
-	default: // LayoutSharded
-		// sizeclass.Batch picks the work-claim granularity: large enough
-		// to amortize next_element traffic, small enough that every
-		// worker still sees a few blocks to claim (wait-freedom never
-		// depends on the choice — a block is a bigger idempotent job).
-		// It is shared with the pooled serving layer so arena sizing and
-		// batch sizing can never drift apart.
-		return native.NewArena(native.Padded), core.Tuning{
-			Batch:       sizeclass.Batch(n, c.workers),
-			SkipKeyRead: true,
-			Shards:      min(c.workers, 8),
-			HostShuffle: true,
-		}
-	}
+	return chaos.ArenaFor(n, c.workers, chaos.Layout(c.layout))
 }
 
 // Sort sorts data in place using wait-free parallel workers. It is

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"wfsort/internal/chaos"
 	"wfsort/internal/pram"
 )
 
@@ -307,6 +308,16 @@ func TestSortLayoutsProperty(t *testing.T) {
 // sort.SliceStable reference. Unique tags make element-wise equality
 // prove stability too (an all-equal input is the pure stability test:
 // the "sorted" output must be the input, untouched).
+// TestLayoutsMirrorChaos pins the value-for-value mirror nativeArena
+// relies on when it resolves a Layout through chaos.ArenaFor.
+func TestLayoutsMirrorChaos(t *testing.T) {
+	for _, l := range Layouts() {
+		if got := chaos.Layout(l).String(); got != l.String() {
+			t.Errorf("layout %v resolves to chaos layout %q", l, got)
+		}
+	}
+}
+
 func TestSortDegenerateInputsAllLayouts(t *testing.T) {
 	type rec struct{ key, tag int }
 	inputs := map[string][]int{
