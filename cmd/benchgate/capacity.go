@@ -2,51 +2,43 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	"wfsort/internal/loadgen"
 	"wfsort/internal/server"
 )
 
-// The -capacity mode gates the serving stack's capacity curve: an
+// The capacity gate measures the serving stack's capacity curve: an
 // open-loop loadgen sweep (internal/loadgen) offers a fixed two-class
 // mix — small duplicate-heavy requests plus bulk distinct ones — at
 // doubling rates against an in-process server, brackets the knee where
-// p99 crosses the SLO (or shedding passes its bound), refines it
-// geometrically, and records the result in BENCH_capacity.json.
+// p99 crosses the SLO (or shedding passes its bound) and refines it
+// geometrically. Cells: slo_ms, max_shed_frac, knee_rps, knee_ok_rps,
+// and point<i>/<field> for every sweep point in sweep order (point0 is
+// the starting rate).
 //
-// Gates:
+// No point may return an unsorted body — a fast wrong answer is not
+// capacity — in any mode. The rules:
 //
-//   - unconditional, any mode: no point may return an unsorted body —
-//     a fast wrong answer is not capacity.
-//   - unconditional, non-quick: the knee must exist (the server meets
-//     the SLO at least at the sweep's starting rate).
-//   - against a comparable-host baseline: the knee req/s must be
-//     within tolerance. Knee measurements are noisier than throughput
-//     cells (the knee sits where the latency curve is near-vertical),
-//     so the capacity tolerance is max(-tolerance, 0.25).
-//
-// In -quick mode the sweep shrinks (deterministic interarrivals, short
-// horizons, low ceiling) and perf deviations are reported, not failed
-// — but correctness still gates.
+//   - the knee must exist: knee_rps >= the starting rate (the server
+//     meets the SLO at least where the sweep starts; 0 when it fails
+//     there);
+//   - against a comparable-host baseline with the same SLO, the knee
+//     req/s must be within 25%: the knee sits where the latency curve
+//     is near-vertical, so its run-to-run noise is structurally larger
+//     than a throughput cell's.
 
 // capSLOMs is the serving SLO the knee is defined against: p99 of
 // successfully served requests, milliseconds.
 const capSLOMs = 50.0
 
-// CapReport is the BENCH_capacity.json schema.
-type CapReport struct {
-	Host        Host                    `json:"host"`
-	SLOMs       float64                 `json:"slo_ms"`
-	MaxShedFrac float64                 `json:"max_shed_frac"`
-	Quick       bool                    `json:"quick,omitempty"`
-	KneeRPS     float64                 `json:"knee_rps"`
-	KneeOKRPS   float64                 `json:"knee_ok_rps"`
-	Points      []loadgen.CapacityPoint `json:"points"`
+func capacityRules(bool) []rule {
+	return []rule{
+		{kind: inRun, name: "capacity knee exists", num: `^knee_rps$`, den: "point0/offered_rps", bound: 1},
+		{kind: drift, name: "capacity knee drift", num: `^knee_rps$`, bound: 1 - capacityTolerance, same: []string{"slo_ms"}},
+	}
 }
 
 // capacitySpec is the workload shape every sweep point scales: 4/5 of
@@ -82,68 +74,11 @@ func capacitySpec(quick bool) *loadgen.Spec {
 	return s
 }
 
-// runCapacity is the -capacity entry point, sharing run's flag values.
-func runCapacity(w io.Writer, baseline, out string, write, quick bool, tol float64) error {
-	var base *CapReport
-	if !write {
-		b, err := readCapReport(baseline)
-		if err != nil {
-			if !(quick && os.IsNotExist(err)) {
-				return fmt.Errorf("reading baseline: %w (run with -capacity -write to create it)", err)
-			}
-		} else {
-			base = b
-		}
-	}
-
-	rep, err := measureCapacity(w, quick)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "knee: %.1f req/s offered (%.1f ok/s) under p99 <= %.0f ms\n",
-		rep.KneeRPS, rep.KneeOKRPS, rep.SLOMs)
-	if out != "" {
-		if err := writeCapReport(out, rep); err != nil {
-			return err
-		}
-	}
-	if write {
-		if err := writeCapReport(baseline, rep); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "capacity baseline written to %s (%d points)\n", baseline, len(rep.Points))
-		return nil
-	}
-
-	// Correctness gates in every mode.
-	for _, p := range rep.Points {
-		if p.Unsorted > 0 {
-			return fmt.Errorf("capacity point %.0f req/s returned %d unsorted bodies", p.OfferedRPS, p.Unsorted)
-		}
-	}
-
-	failures := compareCapacity(base, rep, tol)
-	for _, f := range failures {
-		fmt.Fprintln(w, "REGRESSION:", f)
-	}
-	if quick {
-		fmt.Fprintf(w, "capacity smoke passed: %d points, all bodies sorted (%d perf deviations reported, not gated)\n",
-			len(rep.Points), len(failures))
-		return nil
-	}
-	if len(failures) > 0 {
-		return fmt.Errorf("%d capacity gate(s) failed against baseline %s", len(failures), baseline)
-	}
-	fmt.Fprintf(w, "capacity gate passed: knee %.1f req/s within %.0f%% of %s\n",
-		rep.KneeRPS, capTolerance(tol)*100, baseline)
-	return nil
-}
-
-func measureCapacity(w io.Writer, quick bool) (*CapReport, error) {
-	spec := capacitySpec(quick)
+func measureCapacity(w io.Writer, o opts) (*Report, error) {
+	spec := capacitySpec(o.quick)
 	start, ceiling := spec.TotalRate(), 102_400.0
 	refine := 5
-	if quick {
+	if o.quick {
 		ceiling = start * 4
 		refine = 0
 	}
@@ -162,15 +97,17 @@ func measureCapacity(w io.Writer, quick bool) (*CapReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &CapReport{
-		Host:        hostFingerprint(),
-		SLOMs:       kneeRep.SLOMs,
-		MaxShedFrac: kneeRep.MaxShedFrac,
-		Quick:       quick,
-		KneeRPS:     kneeRep.KneeRPS,
-		KneeOKRPS:   kneeRep.KneeOKRPS,
-		Points:      kneeRep.Points,
-	}, nil
+	fmt.Fprintf(w, "knee: %.1f req/s offered (%.1f ok/s) under p99 <= %.0f ms\n",
+		kneeRep.KneeRPS, kneeRep.KneeOKRPS, kneeRep.SLOMs)
+	rep := newReport(o.quick, 0)
+	rep.addFields("", kneeRep)
+	for i, p := range kneeRep.Points {
+		if p.Unsorted > 0 {
+			return nil, fmt.Errorf("capacity point %.0f req/s returned %d unsorted bodies", p.OfferedRPS, p.Unsorted)
+		}
+		rep.addFields(fmt.Sprintf("point%d/", i), p)
+	}
+	return rep, nil
 }
 
 // newCapacityTarget boots a fresh in-process server per sweep point so
@@ -186,56 +123,4 @@ func newCapacityTarget() (loadgen.Target, func(), error) {
 		srv.Shutdown(ctx)
 	}
 	return &loadgen.HandlerTarget{Handler: srv.Handler()}, stop, nil
-}
-
-// capTolerance widens the flag tolerance for the knee gate: the knee
-// sits where the latency curve is near-vertical, so run-to-run noise
-// is structurally larger than for throughput cells.
-func capTolerance(tol float64) float64 { return max(tol, 0.25) }
-
-// compareCapacity runs the capacity gates (see the file comment).
-func compareCapacity(base, cur *CapReport, tol float64) []string {
-	var failures []string
-	if cur.KneeRPS == 0 {
-		failures = append(failures, fmt.Sprintf(
-			"no capacity knee: the server missed the %.0f ms SLO even at the starting rate", cur.SLOMs))
-	}
-	if base == nil {
-		return failures
-	}
-	if !base.Host.comparable(cur.Host) || base.KneeRPS <= 0 {
-		return failures
-	}
-	if base.SLOMs != cur.SLOMs || base.Quick != cur.Quick {
-		// A changed SLO or mode redefines the knee; absolute comparison
-		// would gate apples against oranges.
-		return failures
-	}
-	t := capTolerance(tol)
-	if change := cur.KneeRPS / base.KneeRPS; change < 1-t {
-		failures = append(failures, fmt.Sprintf(
-			"capacity knee: %.1f req/s is %.1f%% below the baseline's %.1f req/s",
-			cur.KneeRPS, 100*(1-change), base.KneeRPS))
-	}
-	return failures
-}
-
-func readCapReport(path string) (*CapReport, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r CapReport
-	if err := json.Unmarshal(b, &r); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &r, nil
-}
-
-func writeCapReport(path string, r *CapReport) error {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
 }

@@ -1,53 +1,6 @@
 package main
 
-import (
-	"path/filepath"
-	"strings"
-	"testing"
-
-	"wfsort/internal/loadgen"
-)
-
-func capReport(host Host, knee float64) *CapReport {
-	return &CapReport{Host: host, SLOMs: capSLOMs, KneeRPS: knee, KneeOKRPS: knee * 0.9}
-}
-
-func TestCompareCapacityGate(t *testing.T) {
-	base := capReport(hostA, 1000)
-
-	// Within the widened tolerance: clean.
-	if f := compareCapacity(base, capReport(hostA, 800), 0.10); len(f) != 0 {
-		t.Fatalf("25%% tolerance should absorb a 20%% dip, got %v", f)
-	}
-	// A halved knee must fail.
-	f := compareCapacity(base, capReport(hostA, 500), 0.10)
-	if len(f) != 1 || !strings.Contains(f[0], "below the baseline") {
-		t.Fatalf("halved knee not gated: %v", f)
-	}
-	// Different host: absolute knees aren't comparable.
-	if f := compareCapacity(base, capReport(hostB, 100), 0.10); len(f) != 0 {
-		t.Fatalf("cross-host knees must not gate, got %v", f)
-	}
-	// Different SLO redefines the knee.
-	cur := capReport(hostA, 100)
-	cur.SLOMs = 5
-	if f := compareCapacity(base, cur, 0.10); len(f) != 0 {
-		t.Fatalf("cross-SLO knees must not gate, got %v", f)
-	}
-	// Quick-mode run against a full-mode baseline: not comparable.
-	cur = capReport(hostA, 100)
-	cur.Quick = true
-	if f := compareCapacity(base, cur, 0.10); len(f) != 0 {
-		t.Fatalf("quick knee gated against full baseline: %v", f)
-	}
-}
-
-func TestCompareCapacityNoKnee(t *testing.T) {
-	f := compareCapacity(nil, capReport(hostA, 0), 0.10)
-	if len(f) != 1 || !strings.Contains(f[0], "no capacity knee") {
-		t.Fatalf("missing knee not gated: %v", f)
-	}
-}
+import "testing"
 
 func TestCapacitySpecValidates(t *testing.T) {
 	for _, quick := range []bool{false, true} {
@@ -64,24 +17,5 @@ func TestCapacitySpecValidates(t *testing.T) {
 	}
 	if capacitySpec(true).TotalRate() != capacitySpec(false).TotalRate() {
 		t.Fatal("quick mode must keep the same starting rate")
-	}
-}
-
-func TestCapReportRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_capacity.json")
-	in := capReport(hostA, 1234)
-	in.Points = []loadgen.CapacityPoint{{OfferedRPS: 1234, P99Ms: 12, Pass: true}}
-	if err := writeCapReport(path, in); err != nil {
-		t.Fatal(err)
-	}
-	out, err := readCapReport(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.KneeRPS != in.KneeRPS || len(out.Points) != 1 || out.Points[0].P99Ms != 12 {
-		t.Fatalf("round trip lost data: %+v", out)
-	}
-	if _, err := readCapReport(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Fatal("missing baseline must error")
 	}
 }

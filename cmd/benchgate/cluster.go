@@ -17,7 +17,7 @@ import (
 	"wfsort/internal/server"
 )
 
-// The -cluster mode gates the distributed sort tier: a sample-sort
+// The cluster gate measures the distributed sort tier: a sample-sort
 // coordinator (internal/cluster) over 1, 2 and 3 in-process sortd
 // backends, measured on a closed-loop batch of multi-shard jobs, plus
 // a backend-kill chaos leg.
@@ -36,17 +36,29 @@ import (
 // serializes its fan-out, loses admission slots to misrouting, or
 // burns its budget on spurious retries fails on any machine.
 //
-// Gates:
+// Cells: the admission shape (token_rate, token_burst, shard_keys,
+// job_keys), cluster/b<N>/<field> per fleet size, scale3, and the kill
+// leg's kill_redispatches and kill_identical (0/1).
 //
-//   - unconditional, any mode: every job's output verifies (the
-//     coordinator's own ledger plus a reference-sort comparison here),
-//     and the kill leg completes with at least one redispatch and
-//     output byte-identical to the faultless run. A ledger mismatch
-//     additionally dumps cluster-ledger-mismatch.json for the CI
-//     artifact trail.
-//   - non-quick: scale3 >= 1.8.
-//   - against a comparable-host baseline: per-fleet-size jobs/s within
-//     the (widened) tolerance.
+// Every job's output must verify (the coordinator's own ledger plus a
+// reference-sort comparison here), and the kill leg must complete with
+// at least one redispatch and output byte-identical to the faultless
+// run, in any mode. A ledger mismatch additionally dumps
+// cluster-ledger-mismatch.json for the CI artifact trail. The rules:
+//
+//   - scale3 >= 1.8 in-run;
+//   - against a comparable-host baseline, each fleet size's jobs/s
+//     within 20% on its own (retry backoff adds jitter to otherwise
+//     stable token-bucket job rates).
+func clusterRules(bool) []rule {
+	rs := []rule{{kind: inRun, name: "scale3", num: `^cluster/b3/jobs_per_sec$`, den: "cluster/b1/jobs_per_sec", bound: minScale3}}
+	for b := 1; b <= 3; b++ {
+		rs = append(rs, rule{kind: drift, name: fmt.Sprintf("cluster/b%d jobs/s drift", b),
+			num: fmt.Sprintf(`^cluster/b%d/jobs_per_sec$`, b), bound: 1 - clusterTolerance})
+	}
+	return rs
+}
+
 const (
 	minScale3 = 1.8
 	// clusterTokenRate/Burst shape each backend's admission bucket: low
@@ -83,79 +95,6 @@ type ClusterPoint struct {
 	KeysPerSec          float64 `json:"keys_per_sec"`
 	Redispatches        int64   `json:"redispatches"`
 	BackpressureRetries int64   `json:"backpressure_retries"`
-}
-
-func (p ClusterPoint) cell() string { return fmt.Sprintf("cluster/b%d", p.Backends) }
-
-// ClusterReport is the BENCH_cluster.json schema.
-type ClusterReport struct {
-	Host             Host           `json:"host"`
-	Quick            bool           `json:"quick,omitempty"`
-	TokenRate        float64        `json:"token_rate"`
-	TokenBurst       int            `json:"token_burst"`
-	ShardKeys        int            `json:"shard_keys"`
-	JobKeys          int            `json:"job_keys"`
-	Points           []ClusterPoint `json:"points"`
-	Scale3           float64        `json:"scale3"`
-	KillRedispatches int64          `json:"kill_redispatches"`
-	KillIdentical    bool           `json:"kill_identical"`
-}
-
-// runCluster is the -cluster entry point, sharing run's flag values.
-func runCluster(w io.Writer, baseline, out string, write, quick bool, tol float64) error {
-	var base *ClusterReport
-	if !write {
-		b, err := readClusterReport(baseline)
-		if err != nil {
-			if !(quick && os.IsNotExist(err)) {
-				return fmt.Errorf("reading baseline: %w (run with -cluster -write to create it)", err)
-			}
-		} else {
-			base = b
-		}
-	}
-
-	rep, err := measureCluster(w, quick)
-	if err != nil {
-		return err
-	}
-	if out != "" {
-		if err := writeClusterReport(out, rep); err != nil {
-			return err
-		}
-	}
-	if write {
-		if err := writeClusterReport(baseline, rep); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "cluster baseline written to %s (%d points)\n", baseline, len(rep.Points))
-		return nil
-	}
-
-	// Correctness gates in every mode: measureCluster already verified
-	// each job; the kill leg's two promises are checked here.
-	if !rep.KillIdentical {
-		return fmt.Errorf("kill leg output differs from the faultless run")
-	}
-	if rep.KillRedispatches == 0 {
-		return fmt.Errorf("kill leg recorded no redispatches — the chaos leg did not bite")
-	}
-
-	failures := compareCluster(base, rep, tol, quick)
-	for _, f := range failures {
-		fmt.Fprintln(w, "REGRESSION:", f)
-	}
-	if quick {
-		fmt.Fprintf(w, "cluster smoke passed: %d points verified, kill leg byte-identical with %d redispatches (%d perf deviations reported, not gated)\n",
-			len(rep.Points), rep.KillRedispatches, len(failures))
-		return nil
-	}
-	if len(failures) > 0 {
-		return fmt.Errorf("%d cluster gate(s) failed against baseline %s", len(failures), baseline)
-	}
-	fmt.Fprintf(w, "cluster gate passed: scale3 %.2fx >= %.1fx, kill leg byte-identical (%d redispatches)\n",
-		rep.Scale3, minScale3, rep.KillRedispatches)
-	return nil
 }
 
 // newClusterFleet boots n in-process sortd backends, each with its own
@@ -198,38 +137,41 @@ func clusterJob(seed int64) []int64 {
 	return keys
 }
 
-func measureCluster(w io.Writer, quick bool) (*ClusterReport, error) {
+func measureCluster(w io.Writer, o opts) (*Report, error) {
 	jobs, issuers := 48, 6
-	if quick {
+	if o.quick {
 		jobs = 8
 	}
-	rep := &ClusterReport{
-		Host:       hostFingerprint(),
-		Quick:      quick,
-		TokenRate:  clusterTokenRate,
-		TokenBurst: clusterTokenBurst,
-		ShardKeys:  clusterShardKeys,
-		JobKeys:    clusterJobKeys,
-	}
-
+	rep := newReport(o.quick, 0)
+	rep.add(nil, "token_rate", clusterTokenRate, "")
+	rep.add(nil, "token_burst", clusterTokenBurst, "")
+	rep.add(nil, "shard_keys", clusterShardKeys, "")
+	rep.add(nil, "job_keys", clusterJobKeys, "")
+	var rates []float64
 	for _, nb := range []int{1, 2, 3} {
 		p, err := measureClusterPoint(nb, jobs, issuers)
 		if err != nil {
 			return nil, err
 		}
-		fmt.Fprintf(w, "%-12s %8.1f jobs/s %12.0f keys/s (redispatch=%d bp=%d)\n",
-			p.cell(), p.JobsPerSec, p.KeysPerSec, p.Redispatches, p.BackpressureRetries)
-		rep.Points = append(rep.Points, p)
+		fmt.Fprintf(w, "cluster/b%-4d %8.1f jobs/s %12.0f keys/s (redispatch=%d bp=%d)\n",
+			nb, p.JobsPerSec, p.KeysPerSec, p.Redispatches, p.BackpressureRetries)
+		rep.addFields(fmt.Sprintf("cluster/b%d/", nb), p)
+		rates = append(rates, p.JobsPerSec)
 	}
-	rep.Scale3 = rep.Points[2].JobsPerSec / rep.Points[0].JobsPerSec
-	fmt.Fprintf(w, "scale3: %.2fx (3-backend vs 1-backend job rate)\n", rep.Scale3)
+	rep.add(w, "scale3", rates[2]/rates[0], "x")
 
 	redispatches, identical, err := measureKillLeg(w)
 	if err != nil {
 		return nil, err
 	}
-	rep.KillRedispatches = redispatches
-	rep.KillIdentical = identical
+	if !identical {
+		return nil, fmt.Errorf("kill leg output differs from the faultless run")
+	}
+	if redispatches == 0 {
+		return nil, fmt.Errorf("kill leg recorded no redispatches — the chaos leg did not bite")
+	}
+	rep.add(nil, "kill_redispatches", float64(redispatches), "")
+	rep.add(nil, "kill_identical", 1, "")
 	return rep, nil
 }
 
@@ -403,58 +345,4 @@ func maybeDumpLedger(leg string, backends int, err error, st cluster.Stats) {
 		return
 	}
 	os.WriteFile(ledgerArtifactPath, append(b, '\n'), 0o644)
-}
-
-// compareCluster runs the perf gates (correctness gated earlier).
-func compareCluster(base, cur *ClusterReport, tol float64, quick bool) []string {
-	var failures []string
-	if cur.Scale3 < minScale3 {
-		failures = append(failures, fmt.Sprintf(
-			"cluster scaling: 3 backends deliver only %.2fx the 1-backend job rate (floor %.1fx)",
-			cur.Scale3, minScale3))
-	}
-	if base == nil || !base.Host.comparable(cur.Host) || base.Quick != cur.Quick {
-		return failures
-	}
-	bi := make(map[string]ClusterPoint, len(base.Points))
-	for _, p := range base.Points {
-		bi[p.cell()] = p
-	}
-	t := clusterTolerance(tol)
-	for _, p := range cur.Points {
-		b, ok := bi[p.cell()]
-		if !ok || b.JobsPerSec <= 0 {
-			continue
-		}
-		if change := p.JobsPerSec / b.JobsPerSec; change < 1-t {
-			failures = append(failures, fmt.Sprintf(
-				"%s: %.1f jobs/s is %.1f%% below the baseline's %.1f",
-				p.cell(), p.JobsPerSec, 100*(1-change), b.JobsPerSec))
-		}
-	}
-	return failures
-}
-
-// clusterTolerance widens the flag tolerance: closed-loop job rates
-// against token buckets are stable, but retry backoff adds jitter.
-func clusterTolerance(tol float64) float64 { return max(tol, 0.20) }
-
-func readClusterReport(path string) (*ClusterReport, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r ClusterReport
-	if err := json.Unmarshal(b, &r); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &r, nil
-}
-
-func writeClusterReport(path string, r *ClusterReport) error {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
 }

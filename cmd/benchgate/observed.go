@@ -6,13 +6,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
-	"sort"
-	"sync"
 	"time"
 
 	"wfsort/internal/server"
@@ -23,50 +20,26 @@ import (
 // fully instrumented server (request tracing, stage attribution,
 // exemplar sampling and the SLO burn monitor all live) races one built
 // with Config.TraceOff against the same request stream, interleaved
-// run by run so machine drift biases neither side, and the in-run
-// geomean traced/plain request-throughput ratio must stay within
-// tolerance of 1. Like the native observer gate, the ratio is measured
-// within the current run — no baseline cells, works on any host.
+// run by run so machine drift biases neither side. The cells are
+// "serve+trace/n<N>" and its TraceOff twin "serve/n<N>" in req/s;
+// nativeRules holds the in-run traced/plain geomean to the observer's
+// floor — no baseline cells, works on any host.
 
-// runObservedServe measures the trace plane's serving overhead and
-// returns gate failures (empty when within tolerance).
-func runObservedServe(w io.Writer, quick bool, runs int, tol float64) ([]string, error) {
-	if runs < 1 {
-		runs = 1
-	}
-	sizes := []int{64, 4096}
+// measureObservedServe adds the trace plane's serving cells to rep.
+func measureObservedServe(w io.Writer, rep *Report, quick bool, runs int) error {
 	reqs := 400
 	if quick {
 		reqs = 80
 	}
-	var logSum float64
-	cells := 0
-	worst, worstCell := math.Inf(1), ""
-	for _, n := range sizes {
+	for _, n := range []int{64, 4096} {
 		traced, plain, err := measureObservedPair(n, reqs, runs)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		ratio := traced / plain
-		fmt.Fprintf(w, "%-22s %12.0f req/s (plain %.0f, ratio %.3f)\n",
-			fmt.Sprintf("serve+trace/n%d", n), traced, plain, ratio)
-		logSum += math.Log(ratio)
-		cells++
-		if ratio < worst {
-			worst, worstCell = ratio, fmt.Sprintf("n%d (%.1f%% overhead)", n, 100*(1-ratio))
-		}
+		rep.add(w, fmt.Sprintf("serve+trace/n%d", n), traced, "req/s")
+		rep.add(w, fmt.Sprintf("serve/n%d", n), plain, "req/s")
 	}
-	if cells == 0 {
-		return nil, nil
-	}
-	g := math.Exp(logSum / float64(cells))
-	fmt.Fprintf(w, "trace plane overhead: geomean traced/plain %.3fx over %d cells\n", g, cells)
-	if g < 1-tol {
-		return []string{fmt.Sprintf(
-			"trace plane: geomean %.1f%% request-throughput loss with full instrumentation over %d cells (worst %s)",
-			100*(1-g), cells, worstCell)}, nil
-	}
-	return nil, nil
+	return nil
 }
 
 // measureObservedPair times one request size through an instrumented
@@ -122,59 +95,33 @@ func measureObservedPair(n, reqs, runs int) (tracedRPS, plainRPS float64, err er
 	return work / median(tracedTimes).Seconds(), work / median(plainTimes).Seconds(), nil
 }
 
-// driveHandler posts reqs fixed-size sort requests from 4 concurrent
+// driveHandler posts reqs fixed-size sort requests from the fan-out
 // clients straight into the handler (no sockets) and verifies every
 // response. The traced side stamps X-Trace-Id so the full accept-echo
 // path runs, not just the minting shortcut.
 func driveHandler(h http.Handler, n, reqs int, stampTrace bool) (time.Duration, error) {
-	const clients = 4
-	var wg sync.WaitGroup
-	errCh := make(chan error, clients)
-	start := time.Now()
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(n) + int64(c)))
-			for i := 0; i < reqs/clients; i++ {
-				keys := make([]int64, n)
-				for k := range keys {
-					keys[k] = int64(rng.Intn(1 << 20))
-				}
-				body, _ := json.Marshal(map[string]any{"keys": keys})
-				req := httptest.NewRequest(http.MethodPost, "/sort", bytes.NewReader(body))
-				req.Header.Set("Content-Type", "application/json")
-				if stampTrace {
-					req.Header.Set("X-Trace-Id", fmt.Sprintf("bg-%d-%d", c, i))
-				}
-				rec := httptest.NewRecorder()
-				h.ServeHTTP(rec, req)
-				if rec.Code != http.StatusOK {
-					errCh <- fmt.Errorf("status %d", rec.Code)
-					return
-				}
-				var out struct {
-					Sorted []int64 `json:"sorted"`
-				}
-				if err := json.NewDecoder(rec.Body).Decode(&out); err != nil {
-					errCh <- err
-					return
-				}
-				if len(out.Sorted) != n || !sort.SliceIsSorted(out.Sorted, func(a, b int) bool {
-					return out.Sorted[a] < out.Sorted[b]
-				}) {
-					errCh <- fmt.Errorf("bad response body (n=%d)", len(out.Sorted))
-					return
-				}
+	return fanOut(func(c int) error {
+		rng := rand.New(rand.NewSource(int64(n) + int64(c)))
+		for i := 0; i < reqs/clients; i++ {
+			keys := make([]int64, n)
+			for k := range keys {
+				keys[k] = int64(rng.Intn(1 << 20))
 			}
-			errCh <- nil
-		}(c)
-	}
-	wg.Wait()
-	for c := 0; c < clients; c++ {
-		if err := <-errCh; err != nil {
-			return 0, err
+			body, _ := json.Marshal(map[string]any{"keys": keys})
+			req := httptest.NewRequest(http.MethodPost, "/sort", bytes.NewReader(body))
+			req.Header.Set("Content-Type", "application/json")
+			if stampTrace {
+				req.Header.Set("X-Trace-Id", fmt.Sprintf("bg-%d-%d", c, i))
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if rec.Code != http.StatusOK {
+				return fmt.Errorf("status %d", rec.Code)
+			}
+			if err := decodeSorted(rec.Body, n); err != nil {
+				return err
+			}
 		}
-	}
-	return time.Since(start), nil
+		return nil
+	})
 }

@@ -2,10 +2,8 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	"wfsort/internal/loadgen"
@@ -13,75 +11,48 @@ import (
 	"wfsort/internal/server"
 )
 
-// The -qos mode gates the QoS plane's reason to exist: under a 50/50
-// two-class overload (latency-sensitive small sorts vs bulk ones), the
-// priority scheduler must cut the latency class's p99 without starving
-// bulk. One seeded trace is generated past the serving knee and run
-// twice against otherwise identical in-process servers — once FIFO
-// (no QoS config), once with the QoS plane installed — and the gate
-// acts on the within-run ratios, so it needs no comparable host:
+// The qos gate measures the QoS plane's reason to exist: under a
+// 50/50 two-class overload (latency-sensitive small sorts vs bulk
+// ones), the priority scheduler must cut the latency class's p99
+// without starving bulk. One seeded trace is generated past the
+// serving knee and run twice against otherwise identical in-process
+// servers — once FIFO (no QoS config), once with the QoS plane
+// installed. Cells: offered_rps, <run>/<class>/<field> for run ∈
+// {fifo, qos} and class ∈ {lat, bulk, total} (the loadgen class
+// report), and the two ratios lat_p99_ratio and bulk_ok_ratio.
 //
-//   - unconditional, any mode: no request in either run may return an
-//     unsorted body, and transport errors are zero — a scheduler that
-//     corrupts or drops work is wrong before it is slow.
-//   - non-quick: the latency class's p99 under QoS must be at most
-//     qosLatP99Max of its FIFO p99 — the priority tiers must buy a
-//     real latency win at the knee, not a measurement wiggle.
-//   - non-quick: the bulk class's completed-OK count under QoS must be
-//     at least qosBulkOKMin of its FIFO count — priority must not
-//     become starvation; aging is what keeps this gate honest.
+// No request in either run may return an unsorted body or hit a
+// transport error, in any mode — a scheduler that corrupts or drops
+// work is wrong before it is slow. The rules act on within-run ratios,
+// so they need no comparable host:
 //
-// There is deliberately no baseline-drift gate: past the knee the FIFO
+//   - the latency class's p99 under QoS must be at most qosLatP99Max
+//     of its FIFO p99 — the priority tiers must buy a real latency win
+//     at the knee, not a measurement wiggle;
+//   - the bulk class's completed-OK count under QoS must be at least
+//     qosBulkOKMin of its FIFO count — priority must not become
+//     starvation; aging is what keeps this rule honest.
+//
+// There is deliberately no baseline-drift rule: past the knee the FIFO
 // p99 depends on exactly when the queue saturates within the horizon,
 // which is chaotic run to run (observed 60 ms to 1.8 s on one host),
 // so a ratio-drift comparison would gate on noise. The checked-in
-// BENCH_qos.json is the certification record of one full run; every
-// gating run re-derives both sides of the ratio itself.
-//
-// In -quick mode the trace shrinks (deterministic interarrivals, short
-// horizon) and ratio deviations are reported, not failed — but
-// correctness still gates.
+// BENCH_qos.json is the certification record of one full run; the
+// gate still requires it outside -quick and -write.
 
 const (
-	// qosLatP99Max bounds the latency class's p99 under QoS relative
-	// to FIFO: at most 70% of the FIFO value.
 	qosLatP99Max = 0.7
-	// qosBulkOKMin bounds the bulk class's completed requests under
-	// QoS relative to FIFO: at least 80% of the FIFO count.
 	qosBulkOKMin = 0.8
 
 	qosLatClass  = "lat"
 	qosBulkClass = "bulk"
 )
 
-// QoSRun is one side of the comparison: the per-class loadgen report
-// of a single trace replay.
-type QoSRun struct {
-	Classes []loadgen.ClassReport `json:"classes"`
-	Totals  loadgen.ClassReport   `json:"totals"`
-}
-
-func (r *QoSRun) class(name string) *loadgen.ClassReport {
-	for i := range r.Classes {
-		if r.Classes[i].Name == name {
-			return &r.Classes[i]
-		}
+func qosRules(bool) []rule {
+	return []rule{
+		{kind: inRun, name: "lat p99 qos/fifo", num: `^qos/lat/p99_ms$`, den: "fifo/lat/p99_ms", bound: qosLatP99Max, ceil: true},
+		{kind: inRun, name: "bulk ok qos/fifo", num: `^qos/bulk/ok$`, den: "fifo/bulk/ok", bound: qosBulkOKMin},
 	}
-	return nil
-}
-
-// QoSReport is the BENCH_qos.json schema.
-type QoSReport struct {
-	Host       Host    `json:"host"`
-	Quick      bool    `json:"quick,omitempty"`
-	OfferedRPS float64 `json:"offered_rps"`
-	FIFO       QoSRun  `json:"fifo"`
-	QoS        QoSRun  `json:"qos"`
-	// LatP99Ratio is qos/fifo for the latency class's p99 (lower is
-	// better); BulkOKRatio is qos/fifo for the bulk class's completed
-	// requests (higher is better).
-	LatP99Ratio float64 `json:"lat_p99_ratio"`
-	BulkOKRatio float64 `json:"bulk_ok_ratio"`
 }
 
 // qosSpec is the two-class overload both runs replay: half the offered
@@ -143,103 +114,47 @@ func qosConfig(spec *loadgen.Spec) *qos.Config {
 	return cfg
 }
 
-// runQoS is the -qos entry point, sharing run's flag values. The
-// baseline file must exist outside quick/-write mode — the gate never
-// compares against it (see the file comment), but its absence means
-// the certification record was never produced.
-func runQoS(w io.Writer, baseline, out string, write, quick bool) error {
-	if !write {
-		if _, err := readQoSReport(baseline); err != nil {
-			if !(quick && os.IsNotExist(err)) {
-				return fmt.Errorf("reading baseline: %w (run with -qos -write to create it)", err)
-			}
-		}
-	}
-
-	rep, err := measureQoS(w, quick)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "qos/fifo: lat p99 ratio %.2f (gate <= %.2f), bulk ok ratio %.2f (gate >= %.2f)\n",
-		rep.LatP99Ratio, qosLatP99Max, rep.BulkOKRatio, qosBulkOKMin)
-	if out != "" {
-		if err := writeQoSReport(out, rep); err != nil {
-			return err
-		}
-	}
-	if write {
-		if err := writeQoSReport(baseline, rep); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "qos baseline written to %s\n", baseline)
-		return nil
-	}
-
-	// Correctness gates in every mode.
-	for _, run := range []struct {
-		name string
-		r    *QoSRun
-	}{{"fifo", &rep.FIFO}, {"qos", &rep.QoS}} {
-		if n := run.r.Totals.Unsorted; n > 0 {
-			return fmt.Errorf("%s run returned %d unsorted bodies", run.name, n)
-		}
-		if n := run.r.Totals.Errors; n > 0 {
-			return fmt.Errorf("%s run hit %d transport errors", run.name, n)
-		}
-	}
-
-	failures := compareQoS(rep)
-	for _, f := range failures {
-		fmt.Fprintln(w, "REGRESSION:", f)
-	}
-	if quick {
-		fmt.Fprintf(w, "qos smoke passed: both runs sorted every body (%d ratio deviations reported, not gated)\n",
-			len(failures))
-		return nil
-	}
-	if len(failures) > 0 {
-		return fmt.Errorf("%d qos gate(s) failed", len(failures))
-	}
-	fmt.Fprintf(w, "qos gate passed: lat p99 %.2fx fifo, bulk throughput %.2fx fifo\n",
-		rep.LatP99Ratio, rep.BulkOKRatio)
-	return nil
-}
-
-func measureQoS(w io.Writer, quick bool) (*QoSReport, error) {
-	spec := qosSpec(quick)
+func measureQoS(w io.Writer, o opts) (*Report, error) {
+	spec := qosSpec(o.quick)
 	trace, err := loadgen.BuildTrace(spec)
 	if err != nil {
 		return nil, err
 	}
-
-	fifo, err := replayQoSTrace(trace, nil)
-	if err != nil {
-		return nil, fmt.Errorf("fifo run: %w", err)
+	rep := newReport(o.quick, 0)
+	rep.add(nil, "offered_rps", spec.TotalRate(), "req/s")
+	for _, side := range []struct {
+		name string
+		cfg  *qos.Config
+	}{{"fifo", nil}, {"qos", qosConfig(spec)}} {
+		run, err := replayQoSTrace(trace, side.cfg)
+		if err != nil {
+			return nil, fmt.Errorf("%s run: %w", side.name, err)
+		}
+		if n := run.Totals.Unsorted; n > 0 {
+			return nil, fmt.Errorf("%s run returned %d unsorted bodies", side.name, n)
+		}
+		if n := run.Totals.Errors; n > 0 {
+			return nil, fmt.Errorf("%s run hit %d transport errors", side.name, n)
+		}
+		for _, c := range append(run.Classes, run.Totals) {
+			rep.addFields(side.name+"/"+c.Name+"/", c)
+		}
+		ci := rep.index()
+		fmt.Fprintf(w, "%-5s lat p99 %.1f ms, bulk %.0f ok\n", side.name+":",
+			ci[side.name+"/lat/p99_ms"], ci[side.name+"/bulk/ok"])
 	}
-	fmt.Fprintf(w, "fifo: lat p99 %.1f ms (%d ok), bulk %d ok\n",
-		classP99(fifo, qosLatClass), classOK(fifo, qosLatClass), classOK(fifo, qosBulkClass))
-
-	qosd, err := replayQoSTrace(trace, qosConfig(spec))
-	if err != nil {
-		return nil, fmt.Errorf("qos run: %w", err)
-	}
-	fmt.Fprintf(w, "qos:  lat p99 %.1f ms (%d ok), bulk %d ok\n",
-		classP99(qosd, qosLatClass), classOK(qosd, qosLatClass), classOK(qosd, qosBulkClass))
-
-	rep := &QoSReport{
-		Host:       hostFingerprint(),
-		Quick:      quick,
-		OfferedRPS: spec.TotalRate(),
-		FIFO:       *fifo,
-		QoS:        *qosd,
-	}
-	if p := classP99(fifo, qosLatClass); p > 0 {
-		rep.LatP99Ratio = classP99(qosd, qosLatClass) / p
-	}
-	if n := classOK(fifo, qosBulkClass); n > 0 {
-		rep.BulkOKRatio = float64(classOK(qosd, qosBulkClass)) / float64(n)
-	}
+	ci := rep.index()
+	rep.add(w, "lat_p99_ratio", ratio(ci["qos/lat/p99_ms"], ci["fifo/lat/p99_ms"]), "x")
+	rep.add(w, "bulk_ok_ratio", ratio(ci["qos/bulk/ok"], ci["fifo/bulk/ok"]), "x")
 	return rep, nil
+}
+
+// ratio is num/den, or 0 when den is not positive.
+func ratio(num, den float64) float64 {
+	if den <= 0 {
+		return 0
+	}
+	return num / den
 }
 
 // replayQoSTrace boots a fresh in-process server — batching off so
@@ -247,7 +162,7 @@ func measureQoS(w io.Writer, quick bool) (*QoSReport, error) {
 // bounded queue (where the policy acts) is the bottleneck — replays
 // the trace against it, and aggregates the per-class report. cfg nil
 // is the FIFO control.
-func replayQoSTrace(trace *loadgen.Trace, cfg *qos.Config) (*QoSRun, error) {
+func replayQoSTrace(trace *loadgen.Trace, cfg *qos.Config) (*loadgen.Report, error) {
 	srv, err := server.New(server.Config{
 		PipelineDepth: 64,
 		MaxInFlight:   256,
@@ -264,62 +179,5 @@ func replayQoSTrace(trace *loadgen.Trace, cfg *qos.Config) (*QoSRun, error) {
 		srv.Shutdown(ctx)
 	}()
 	res := loadgen.Run(context.Background(), trace, &loadgen.HandlerTarget{Handler: srv.Handler()})
-	rep := loadgen.BuildReport(res)
-	return &QoSRun{Classes: rep.Classes, Totals: rep.Totals}, nil
-}
-
-func classP99(r *QoSRun, name string) float64 {
-	if c := r.class(name); c != nil {
-		return c.P99Ms
-	}
-	return 0
-}
-
-func classOK(r *QoSRun, name string) int {
-	if c := r.class(name); c != nil {
-		return c.OK
-	}
-	return 0
-}
-
-// compareQoS runs the ratio gates (see the file comment): absolute
-// thresholds on the within-run ratios, which makes the gate valid on
-// any host without a comparable baseline.
-func compareQoS(cur *QoSReport) []string {
-	var failures []string
-	if cur.LatP99Ratio <= 0 {
-		failures = append(failures, "lat p99 ratio is unmeasurable: the fifo run completed no latency-class requests")
-	} else if cur.LatP99Ratio > qosLatP99Max {
-		failures = append(failures, fmt.Sprintf(
-			"lat p99 under qos is %.2fx fifo, above the %.2f bound — the priority tiers bought no latency win",
-			cur.LatP99Ratio, qosLatP99Max))
-	}
-	if cur.BulkOKRatio <= 0 {
-		failures = append(failures, "bulk ok ratio is unmeasurable: the fifo run completed no bulk requests")
-	} else if cur.BulkOKRatio < qosBulkOKMin {
-		failures = append(failures, fmt.Sprintf(
-			"bulk throughput under qos is %.2fx fifo, below the %.2f floor — priority became starvation",
-			cur.BulkOKRatio, qosBulkOKMin))
-	}
-	return failures
-}
-
-func readQoSReport(path string) (*QoSReport, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r QoSReport
-	if err := json.Unmarshal(b, &r); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &r, nil
-}
-
-func writeQoSReport(path string, r *QoSReport) error {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
+	return loadgen.BuildReport(res), nil
 }

@@ -4,41 +4,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"wfsort/internal/loadgen"
 )
-
-func qosReport(lat, bulk float64) *QoSReport {
-	return &QoSReport{Host: hostFingerprint(), LatP99Ratio: lat, BulkOKRatio: bulk}
-}
-
-func TestCompareQoSGates(t *testing.T) {
-	// Both ratios inside their bounds: clean.
-	if f := compareQoS(qosReport(0.5, 1.0)); len(f) != 0 {
-		t.Fatalf("passing ratios gated: %v", f)
-	}
-	// The bounds themselves are still passing — the gate is on
-	// crossing them, not touching them.
-	if f := compareQoS(qosReport(qosLatP99Max, qosBulkOKMin)); len(f) != 0 {
-		t.Fatalf("boundary ratios gated: %v", f)
-	}
-	// No latency win: the lat gate fires.
-	f := compareQoS(qosReport(0.95, 1.0))
-	if len(f) != 1 || !strings.Contains(f[0], "no latency win") {
-		t.Fatalf("lat ratio 0.95 not gated: %v", f)
-	}
-	// Starved bulk: the throughput floor fires.
-	f = compareQoS(qosReport(0.5, 0.5))
-	if len(f) != 1 || !strings.Contains(f[0], "starvation") {
-		t.Fatalf("bulk ratio 0.5 not gated: %v", f)
-	}
-	// Unmeasurable ratios (an empty FIFO side) are their own failure,
-	// not a silent pass.
-	f = compareQoS(qosReport(0, 0))
-	if len(f) != 2 || !strings.Contains(f[0], "unmeasurable") {
-		t.Fatalf("zero ratios not flagged: %v", f)
-	}
-}
 
 func TestQoSSpecAndConfigValidate(t *testing.T) {
 	for _, quick := range []bool{false, true} {
@@ -60,43 +26,23 @@ func TestQoSSpecAndConfigValidate(t *testing.T) {
 	}
 }
 
-func TestQoSReportRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_qos.json")
-	in := qosReport(0.4, 0.97)
-	in.OfferedRPS = 500
-	in.FIFO.Classes = []loadgen.ClassReport{{Name: qosLatClass, OK: 7, P99Ms: 80}}
-	if err := writeQoSReport(path, in); err != nil {
-		t.Fatal(err)
-	}
-	out, err := readQoSReport(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.LatP99Ratio != 0.4 || out.BulkOKRatio != 0.97 || out.OfferedRPS != 500 {
-		t.Fatalf("round-trip mangled the report: %+v", out)
-	}
-	if c := out.FIFO.class(qosLatClass); c == nil || c.P99Ms != 80 {
-		t.Fatalf("round-trip lost the class report: %+v", out.FIFO)
-	}
-	if out.FIFO.class("ghost") != nil {
-		t.Fatal("class lookup invented a class")
-	}
-}
-
-// TestRunQoSQuickSmoke drives the full -qos quick path end to end:
-// trace build, both server boots, replay, ratio computation — gating
-// only correctness, exactly as the CI smoke leg runs it.
+// TestRunQoSQuickSmoke drives the full -gate qos quick path end to
+// end: trace build, both server boots, replay, ratio computation —
+// gating only correctness, exactly as the CI smoke leg runs it.
 func TestRunQoSQuickSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("boots two servers and replays a trace twice")
 	}
 	out := filepath.Join(t.TempDir(), "BENCH_qos.json")
 	var buf strings.Builder
-	if err := runQoS(&buf, out, "", true, true); err != nil {
+	if err := run(&buf, []string{"-gate", "qos", "-quick", "-write", "-baseline", out}); err != nil {
 		t.Fatalf("write run: %v\n%s", err, buf.String())
 	}
+	if r, err := readReport(out); err != nil || !r.Quick || r.index()["fifo/lat/ok"] <= 0 {
+		t.Fatalf("written report: %+v (%v)", r, err)
+	}
 	buf.Reset()
-	if err := runQoS(&buf, out, "", false, true); err != nil {
+	if err := run(&buf, []string{"-gate", "qos", "-quick", "-baseline", out}); err != nil {
 		t.Fatalf("quick gate run: %v\n%s", err, buf.String())
 	}
 	if !strings.Contains(buf.String(), "qos smoke passed") {

@@ -6,12 +6,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -20,134 +19,57 @@ import (
 	"wfsort/internal/server"
 )
 
-// The -serve mode gates the serving layer the same way the default
-// mode gates the native fast path:
+// The serve gate measures the serving layer the way the native gate
+// measures the fast path:
 //
-//   - pooled vs fresh sort throughput across a (P, N) matrix. The
-//     in-run geomean pooled/fresh ratio must stay >= 1: context
-//     pooling exists to beat rebuilding arenas, so the moment it stops
-//     paying for itself the gate fails (any host, no baseline needed).
-//   - sortd request throughput, faultless and with half the workers
-//     crash-stopped per sort (the wait-freedom serving claim measured:
-//     crash-half must still serve, and its req/s is tracked against
-//     the baseline).
-//   - against a comparable-host baseline (BENCH_serve.json), geomean
-//     sort throughput and request throughput must be within tolerance.
-//
-// In -quick mode everything still runs (correctness always verified)
-// but, as in the default mode, deviations are reported without
-// failing.
-
-// ServeResult is one cell of the serving matrix. Sort cells carry
-// ElemsPerSec; serve cells carry ReqPerSec.
-type ServeResult struct {
-	Mode        string  `json:"mode"` // pooled | fresh | serve | serve-crashhalf
-	P           int     `json:"p"`
-	N           int     `json:"n"`
-	ElemsPerSec float64 `json:"elems_per_sec,omitempty"`
-	ReqPerSec   float64 `json:"req_per_sec,omitempty"`
-	Runs        int     `json:"runs"`
+//   - pooled vs fresh sort throughput across a (P, N) matrix, cells
+//     "pooled/p<P>/n<N>" and "fresh/p<P>/n<N>" in elems/s. The in-run
+//     geomean pooled/fresh ratio must stay >= 1: context pooling
+//     exists to beat rebuilding arenas, so the moment it stops paying
+//     for itself the gate fails (any host, no baseline needed), and
+//     its change vs the baseline must stay within 10% (any host).
+//   - sortd request throughput, "serve/p4/n<reqs>" faultless and
+//     "serve-crashhalf/p4/n<reqs>" with half the workers crash-stopped
+//     per sort (the wait-freedom serving claim measured: crash-half
+//     must still serve, and its req/s is tracked against the
+//     baseline).
+//   - against a comparable-host baseline, geomean sort throughput and
+//     request throughput must each be within 10%.
+func serveRules(bool) []rule {
+	return []rule{
+		{kind: inRun, name: "pooled/fresh", num: `^pooled/(.*)$`, den: `fresh/${1}`, bound: 1},
+		{kind: drift, name: "sort throughput drift", num: `^(pooled|fresh)/`, bound: 1 - tolerance},
+		{kind: drift, name: "request throughput drift", num: `^serve`, bound: 1 - tolerance},
+		{kind: ratioDrift, name: "pooled/fresh ratio drift", num: `^pooled/(.*)$`, den: `fresh/${1}`, bound: 1 - tolerance},
+	}
 }
 
-func (r ServeResult) cell() string {
-	return fmt.Sprintf("%s/p%d/n%d", r.Mode, r.P, r.N)
-}
-
-// ServeReport is the BENCH_serve.json schema.
-type ServeReport struct {
-	Host    Host          `json:"host"`
-	Results []ServeResult `json:"results"`
-}
-
-func (r *ServeReport) index() map[string]ServeResult {
-	m := make(map[string]ServeResult, len(r.Results))
-	for _, res := range r.Results {
-		m[res.cell()] = res
-	}
-	return m
-}
-
-// runServe is the -serve entry point, sharing run's flag values.
-func runServe(w io.Writer, baseline, out string, write, quick bool, runs int, tol float64) error {
-	var base *ServeReport
-	if !write {
-		b, err := readServeReport(baseline)
-		if err != nil {
-			if !(quick && os.IsNotExist(err)) {
-				return fmt.Errorf("reading baseline: %w (run with -serve -write to create it)", err)
-			}
-		} else {
-			base = b
-		}
-	}
-
-	rep, err := measureServeMatrix(w, quick, runs)
-	if err != nil {
-		return err
-	}
-	if out != "" {
-		if err := writeServeReport(out, rep); err != nil {
-			return err
-		}
-	}
-	if write {
-		if err := writeServeReport(baseline, rep); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "serve baseline written to %s (%d cells)\n", baseline, len(rep.Results))
-		return nil
-	}
-
-	failures := compareServe(base, rep, tol)
-	for _, f := range failures {
-		fmt.Fprintln(w, "REGRESSION:", f)
-	}
-	if quick {
-		fmt.Fprintf(w, "serve smoke passed: %d cells correct (%d perf deviations reported, not gated)\n",
-			len(rep.Results), len(failures))
-		return nil
-	}
-	if len(failures) > 0 {
-		return fmt.Errorf("%d serve gate(s) failed against baseline %s", len(failures), baseline)
-	}
-	fmt.Fprintf(w, "serve gate passed: %d cells (pooled/fresh geomean >= 1, baselines within %.0f%%)\n",
-		len(rep.Results), tol*100)
-	return nil
-}
-
-func measureServeMatrix(w io.Writer, quick bool, runs int) (*ServeReport, error) {
-	if runs < 1 {
-		runs = 1
-	}
+func measureServe(w io.Writer, o opts) (*Report, error) {
 	workers := []int{1, 4}
 	sizes := []int{1 << 12, 1 << 14, 1 << 16}
 	serveReqs := 400
-	if quick {
+	if o.quick {
 		workers = []int{min(2, runtime.GOMAXPROCS(0)*2)}
 		sizes = []int{1 << 12, 1 << 14}
 		serveReqs = 80
 	}
-	rep := &ServeReport{Host: hostFingerprint()}
-	emit := func(r ServeResult, unit string, v float64) {
-		fmt.Fprintf(w, "%-26s %12.0f %s\n", r.cell(), v, unit)
-		rep.Results = append(rep.Results, r)
-	}
+	rep := newReport(o.quick, o.runs)
 	for _, p := range workers {
 		for _, n := range sizes {
-			pooled, fresh, err := measureSortPair(p, n, runs)
+			pooled, fresh, err := measureSortPair(p, n, o.runs)
 			if err != nil {
 				return nil, err
 			}
-			emit(pooled, "elems/s", pooled.ElemsPerSec)
-			emit(fresh, "elems/s", fresh.ElemsPerSec)
+			rep.add(w, fmt.Sprintf("pooled/p%d/n%d", p, n), pooled, "elems/s")
+			rep.add(w, fmt.Sprintf("fresh/p%d/n%d", p, n), fresh, "elems/s")
 		}
 	}
 	for _, mode := range []string{"serve", "serve-crashhalf"} {
-		r, err := measureServeCell(mode, serveReqs, runs)
+		rps, err := measureServeCell(mode, serveReqs, o.runs)
 		if err != nil {
 			return nil, err
 		}
-		emit(r, "req/s", r.ReqPerSec)
+		rep.add(w, fmt.Sprintf("%s/p%d/n%d", mode, servePool, serveReqs), rps, "req/s")
 	}
 	return rep, nil
 }
@@ -161,12 +83,12 @@ func measureServeMatrix(w io.Writer, quick bool, runs int) (*ServeReport, error)
 // between requests, so neither do these cells. (An earlier version
 // GC'd before each op, which quietly credited the fresh path with
 // exactly the work pooling removes.)
-func measureSortPair(p, n, runs int) (pooled, fresh ServeResult, err error) {
+func measureSortPair(p, n, runs int) (pooled, fresh float64, err error) {
 	base := rand.New(rand.NewSource(int64(n) + int64(p))).Perm(n)
 	data := make([]int, n)
 	sorter, err := wfsort.NewSorter[int](wfsort.WithWorkers(p))
 	if err != nil {
-		return ServeResult{}, ServeResult{}, err
+		return 0, 0, err
 	}
 	defer sorter.Close()
 
@@ -202,11 +124,11 @@ func measureSortPair(p, n, runs int) (pooled, fresh ServeResult, err error) {
 	for r := 0; r <= runs; r++ {
 		tp, err := timeRun(true)
 		if err != nil {
-			return ServeResult{}, ServeResult{}, err
+			return 0, 0, err
 		}
 		tf, err := timeRun(false)
 		if err != nil {
-			return ServeResult{}, ServeResult{}, err
+			return 0, 0, err
 		}
 		if r > 0 { // run 0 is warmup: pool classes built, heap shaped
 			pooledTimes = append(pooledTimes, tp)
@@ -214,11 +136,7 @@ func measureSortPair(p, n, runs int) (pooled, fresh ServeResult, err error) {
 		}
 	}
 	work := float64(n) * float64(iters)
-	pooled = ServeResult{Mode: "pooled", P: p, N: n,
-		ElemsPerSec: work / median(pooledTimes).Seconds(), Runs: runs}
-	fresh = ServeResult{Mode: "fresh", P: p, N: n,
-		ElemsPerSec: work / median(freshTimes).Seconds(), Runs: runs}
-	return pooled, fresh, nil
+	return work / median(pooledTimes).Seconds(), work / median(freshTimes).Seconds(), nil
 }
 
 // measureServeCell boots the sort service in-process and measures
@@ -226,10 +144,9 @@ func measureSortPair(p, n, runs int) (pooled, fresh ServeResult, err error) {
 // bodies. The crash-half mode fail-stops half of each sort's workers,
 // so its number is the paper's serving claim measured: the service
 // keeps answering correctly at a bounded discount.
-func measureServeCell(mode string, reqs, runs int) (ServeResult, error) {
-	const p = 4
+func measureServeCell(mode string, reqs, runs int) (float64, error) {
 	cfg := server.Config{
-		Workers:     p,
+		Workers:     servePool,
 		MaxInFlight: 64,
 		BatchWindow: time.Millisecond,
 	}
@@ -240,204 +157,99 @@ func measureServeCell(mode string, reqs, runs int) (ServeResult, error) {
 	for r := 0; r <= runs; r++ {
 		srv, err := server.New(cfg)
 		if err != nil {
-			return ServeResult{}, err
+			return 0, err
 		}
 		ts := httptest.NewServer(srv.Handler())
 		elapsed, err := driveClients(ts.URL, reqs)
 		ts.Close()
 		srv.Shutdown(context.Background()) // no deadline: the drain must complete
 		if err != nil {
-			return ServeResult{}, fmt.Errorf("%s: %w", mode, err)
+			return 0, fmt.Errorf("%s: %w", mode, err)
 		}
 		if r > 0 {
 			times = append(times, elapsed)
 		}
 	}
-	return ServeResult{
-		Mode: mode, P: p, N: reqs,
-		ReqPerSec: float64(reqs) / median(times).Seconds(),
-		Runs:      runs,
-	}, nil
+	return float64(reqs) / median(times).Seconds(), nil
 }
 
-// driveClients posts reqs sort requests from 4 concurrent clients and
+// servePool is the serve cells' worker count; clients is the
+// concurrency every request-driving helper fans out to.
+const (
+	servePool = 4
+	clients   = 4
+)
+
+// driveClients posts reqs sort requests from the fan-out clients and
 // verifies every response body.
 func driveClients(url string, reqs int) (time.Duration, error) {
-	const clients = 4
+	return fanOut(func(c int) error {
+		rng := rand.New(rand.NewSource(int64(c)))
+		for i := 0; i < reqs/clients; i++ {
+			n := 64
+			if i%3 == 0 {
+				n = 4096
+			}
+			keys := make([]int64, n)
+			for k := range keys {
+				keys[k] = int64(rng.Intn(10000))
+			}
+			body, _ := json.Marshal(map[string]any{"keys": keys})
+			resp, err := http.Post(url+"/sort", "application/json", bytes.NewReader(body))
+			if err != nil {
+				return err
+			}
+			err = decodeSorted(resp.Body, n)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				return fmt.Errorf("status %d", resp.StatusCode)
+			}
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// fanOut runs f on each client concurrently and returns the wall time
+// until every client finished, with the first client's error.
+func fanOut(f func(c int) error) (time.Duration, error) {
+	errs := make([]error, clients)
 	var wg sync.WaitGroup
-	errCh := make(chan error, clients)
 	start := time.Now()
-	for c := 0; c < clients; c++ {
+	for c := range errs {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(c)))
-			for i := 0; i < reqs/clients; i++ {
-				n := 64
-				if i%3 == 0 {
-					n = 4096
-				}
-				keys := make([]int64, n)
-				for k := range keys {
-					keys[k] = int64(rng.Intn(10000))
-				}
-				body, _ := json.Marshal(map[string]any{"keys": keys})
-				resp, err := http.Post(url+"/sort", "application/json", bytes.NewReader(body))
-				if err != nil {
-					errCh <- err
-					return
-				}
-				var out struct {
-					Sorted []int64 `json:"sorted"`
-				}
-				err = json.NewDecoder(resp.Body).Decode(&out)
-				resp.Body.Close()
-				if err != nil {
-					errCh <- err
-					return
-				}
-				if resp.StatusCode != http.StatusOK {
-					errCh <- fmt.Errorf("status %d", resp.StatusCode)
-					return
-				}
-				if len(out.Sorted) != n || !sort.SliceIsSorted(out.Sorted, func(a, b int) bool {
-					return out.Sorted[a] < out.Sorted[b]
-				}) {
-					errCh <- fmt.Errorf("bad response body (n=%d)", len(out.Sorted))
-					return
-				}
-			}
-			errCh <- nil
+			errs[c] = f(c)
 		}(c)
 	}
 	wg.Wait()
-	for c := 0; c < clients; c++ {
-		if err := <-errCh; err != nil {
+	elapsed := time.Since(start)
+	for _, err := range errs {
+		if err != nil {
 			return 0, err
 		}
 	}
-	return time.Since(start), nil
+	return elapsed, nil
 }
 
-// compareServe runs the serve gates. The pooled/fresh >= 1 gate needs
-// no baseline; the others engage when one is present.
-func compareServe(base, cur *ServeReport, tol float64) []string {
-	var failures []string
-	ci := cur.index()
-
-	// Gate 1, in-run and unconditional: geomean pooled/fresh >= 1.
-	var logSum float64
-	cells := 0
-	worst, worstCell := math.Inf(1), ""
-	for _, c := range cur.Results {
-		if c.Mode != "pooled" {
-			continue
-		}
-		f, ok := ci[ServeResult{Mode: "fresh", P: c.P, N: c.N}.cell()]
-		if !ok || f.ElemsPerSec <= 0 {
-			continue
-		}
-		ratio := c.ElemsPerSec / f.ElemsPerSec
-		logSum += math.Log(ratio)
-		cells++
-		if ratio < worst {
-			worst, worstCell = ratio, fmt.Sprintf("p%d/n%d (%.2fx)", c.P, c.N, ratio)
-		}
+// decodeSorted reads a JSON {"sorted": [...]} reply and checks it.
+func decodeSorted(r io.Reader, n int) error {
+	var out struct {
+		Sorted []int64 `json:"sorted"`
 	}
-	if cells > 0 {
-		if g := math.Exp(logSum / float64(cells)); g < 1 {
-			failures = append(failures, fmt.Sprintf(
-				"pooled/fresh: geomean %.2fx < 1.00x over %d cells (worst %s) — pooling no longer pays for itself",
-				g, cells, worstCell))
-		}
-	}
-
-	if base == nil {
-		return failures
-	}
-	bi := base.index()
-
-	// Gate 2 (comparable hosts): absolute geomeans within tolerance,
-	// sort cells and serve cells each as their own gate.
-	if base.Host.comparable(cur.Host) {
-		for _, kind := range []struct {
-			name string
-			pick func(ServeResult) float64
-		}{
-			{"sort throughput", func(r ServeResult) float64 { return r.ElemsPerSec }},
-			{"request throughput", func(r ServeResult) float64 { return r.ReqPerSec }},
-		} {
-			logSum, cells = 0, 0
-			worst, worstCell = 1.0, ""
-			for _, c := range cur.Results {
-				b, ok := bi[c.cell()]
-				if !ok || kind.pick(b) <= 0 || kind.pick(c) <= 0 {
-					continue
-				}
-				change := kind.pick(c) / kind.pick(b)
-				logSum += math.Log(change)
-				cells++
-				if change < worst {
-					worst, worstCell = change, c.cell()
-				}
-			}
-			if cells > 0 {
-				if g := math.Exp(logSum / float64(cells)); g < 1-tol {
-					failures = append(failures, fmt.Sprintf(
-						"%s: geomean %.1f%% below baseline over %d cells (worst %s at %.1f%%)",
-						kind.name, 100*(1-g), cells, worstCell, 100*(1-worst)))
-				}
-			}
-		}
-	}
-
-	// Gate 3 (any host): the pooled/fresh ratio's change vs baseline.
-	logSum, cells = 0, 0
-	worst, worstCell = 1.0, ""
-	for _, c := range cur.Results {
-		if c.Mode != "pooled" {
-			continue
-		}
-		freshCell := ServeResult{Mode: "fresh", P: c.P, N: c.N}.cell()
-		cf, okCF := ci[freshCell]
-		bp, okBP := bi[c.cell()]
-		bf, okBF := bi[freshCell]
-		if !okCF || !okBP || !okBF || cf.ElemsPerSec <= 0 || bf.ElemsPerSec <= 0 || bp.ElemsPerSec <= 0 {
-			continue
-		}
-		change := (c.ElemsPerSec / cf.ElemsPerSec) / (bp.ElemsPerSec / bf.ElemsPerSec)
-		logSum += math.Log(change)
-		cells++
-		if change < worst {
-			worst, worstCell = change, fmt.Sprintf("p%d/n%d", c.P, c.N)
-		}
-	}
-	if cells > 0 {
-		if g := math.Exp(logSum / float64(cells)); g < 1-tol {
-			failures = append(failures, fmt.Sprintf(
-				"ratio pooled/fresh vs baseline: geomean %.1f%% below over %d cells (worst %s)",
-				100*(1-g), cells, worstCell))
-		}
-	}
-	return failures
-}
-
-func readServeReport(path string) (*ServeReport, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r ServeReport
-	if err := json.Unmarshal(b, &r); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &r, nil
-}
-
-func writeServeReport(path string, r *ServeReport) error {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
+	if err := json.NewDecoder(r).Decode(&out); err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
+	return checkSorted(out.Sorted, n)
+}
+
+// checkSorted checks a reply holds n keys in ascending order.
+func checkSorted(keys []int64, n int) error {
+	if len(keys) != n || !slices.IsSorted(keys) {
+		return fmt.Errorf("bad response body (n=%d, %d keys)", n, len(keys))
+	}
+	return nil
 }

@@ -6,159 +6,85 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"sort"
 	"time"
 
 	"wfsort/internal/server"
 	"wfsort/internal/wire"
 )
 
-// The -wire mode gates the binary codec's reason to exist: request
+// The wire gate measures the binary codec's reason to exist: request
 // throughput through the full serving path (decode, sort, encode) must
 // be materially higher over the wire codec than over JSON on large
 // bodies, where codec cost is a real share of request time.
 //
-// Cells are {sort, shard} × {json, binary} × {medium, large} request
-// sizes, measured against the in-process handler — no sockets, so the
-// comparison isolates codec + serving cost from the network stack. The
-// two codecs interleave run by run on one server instance, so machine
-// drift biases neither side.
+// Cells are "<endpoint>/<codec>/n<N>" in req/s for {sort, shard} ×
+// {json, binary} × {medium, large} request sizes, measured against the
+// in-process handler — no sockets, so the comparison isolates codec +
+// serving cost from the network stack. The two codecs interleave run
+// by run on one server instance, so machine drift biases neither side.
+// The rules:
 //
-// Gates:
-//
-//   - In-run, any host, no baseline needed: the binary/json req/s
-//     ratio on each large-request cell must be >= wireMinSpeedup. This
-//     is the codec's contract — fall below it and shipping two codecs
-//     is pure complexity.
-//   - Against a comparable-host baseline (BENCH_wire.json): geomean
-//     absolute req/s within tolerance.
-//   - Any host: the geomean binary/json ratio change vs the baseline's
-//     within tolerance.
-//
-// -quick shrinks sizes and request counts and reports without failing,
-// as everywhere else in benchgate.
+//   - in-run, any host: the binary/json req/s ratio on each
+//     large-request cell must be >= wireMinSpeedup. This is the
+//     codec's contract — fall below it and shipping two codecs is pure
+//     complexity.
+//   - against a comparable-host baseline: geomean absolute req/s
+//     within 10%.
+//   - any host: the geomean binary/json ratio change vs the baseline's
+//     within 10%.
 
 // wireMinSpeedup is the hard floor on the large-cell binary/json
 // request-throughput ratio.
 const wireMinSpeedup = 1.15
 
-// WireResult is one cell: median-of-runs request throughput for an
-// (endpoint, codec, size) combination.
-type WireResult struct {
-	Endpoint  string  `json:"endpoint"` // sort | shard
-	Codec     string  `json:"codec"`    // json | binary
-	N         int     `json:"n"`
-	ReqPerSec float64 `json:"req_per_sec"`
-	Runs      int     `json:"runs"`
-}
-
-func (r WireResult) cell() string {
-	return fmt.Sprintf("%s/%s/n%d", r.Endpoint, r.Codec, r.N)
-}
-
-// WireReport is the BENCH_wire.json schema.
-type WireReport struct {
-	Host    Host         `json:"host"`
-	Results []WireResult `json:"results"`
-}
-
-func (r *WireReport) index() map[string]WireResult {
-	m := make(map[string]WireResult, len(r.Results))
-	for _, res := range r.Results {
-		m[res.cell()] = res
-	}
-	return m
-}
-
-// runWire is the -wire entry point, sharing run's flag values.
-func runWire(w io.Writer, baseline, out string, write, quick bool, runs int, tol float64) error {
-	var base *WireReport
-	if !write {
-		b, err := readWireReport(baseline)
-		if err != nil {
-			if !(quick && os.IsNotExist(err)) {
-				return fmt.Errorf("reading baseline: %w (run with -wire -write to create it)", err)
-			}
-		} else {
-			base = b
-		}
-	}
-
-	rep, large, err := measureWireMatrix(w, quick, runs)
-	if err != nil {
-		return err
-	}
-	if out != "" {
-		if err := writeWireReport(out, rep); err != nil {
-			return err
-		}
-	}
-	if write {
-		if err := writeWireReport(baseline, rep); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wire baseline written to %s (%d cells)\n", baseline, len(rep.Results))
-		return nil
-	}
-
-	failures := compareWire(base, rep, large, tol)
-	for _, f := range failures {
-		fmt.Fprintln(w, "REGRESSION:", f)
-	}
+// wireSizes are the medium and large request sizes.
+func wireSizes(quick bool) (medium, large int) {
 	if quick {
-		fmt.Fprintf(w, "wire smoke passed: %d cells correct (%d perf deviations reported, not gated)\n",
-			len(rep.Results), len(failures))
-		return nil
+		return 1 << 12, 1 << 14
 	}
-	if len(failures) > 0 {
-		return fmt.Errorf("%d wire gate(s) failed against baseline %s", len(failures), baseline)
-	}
-	fmt.Fprintf(w, "wire gate passed: %d cells (large-cell binary/json >= %.2fx, baselines within %.0f%%)\n",
-		len(rep.Results), wireMinSpeedup, tol*100)
-	return nil
+	return 1 << 14, 1 << 17
 }
 
-// measureWireMatrix runs every cell and returns the report plus the
-// large size whose cells carry the in-run speedup gate.
-func measureWireMatrix(w io.Writer, quick bool, runs int) (*WireReport, int, error) {
-	if runs < 1 {
-		runs = 1
+func wireRules(quick bool) []rule {
+	_, large := wireSizes(quick)
+	var rs []rule
+	for _, ep := range []string{"sort", "shard"} {
+		rs = append(rs, rule{kind: inRun, name: fmt.Sprintf("%s/n%d binary/json", ep, large),
+			num: fmt.Sprintf(`^%s/binary/n%d$`, ep, large), den: fmt.Sprintf("%s/json/n%d", ep, large), bound: wireMinSpeedup})
 	}
-	medium, large := 1<<14, 1<<17
-	if quick {
-		medium, large = 1<<12, 1<<14
-	}
-	rep := &WireReport{Host: hostFingerprint()}
+	return append(rs,
+		rule{kind: drift, name: "request throughput drift", num: `^(sort|shard)/`, bound: 1 - tolerance},
+		rule{kind: ratioDrift, name: "binary/json ratio drift", num: `^(\w+)/binary/(.*)$`, den: `${1}/json/${2}`, bound: 1 - tolerance})
+}
+
+func measureWire(w io.Writer, o opts) (*Report, error) {
+	medium, large := wireSizes(o.quick)
+	rep := newReport(o.quick, o.runs)
 	for _, endpoint := range []string{"sort", "shard"} {
 		for _, n := range []int{medium, large} {
-			jr, br, err := measureWirePair(endpoint, n, runs)
+			jsonRPS, binRPS, err := measureWirePair(endpoint, n, o.runs)
 			if err != nil {
-				return nil, 0, err
+				return nil, err
 			}
-			for _, r := range []WireResult{jr, br} {
-				fmt.Fprintf(w, "%-26s %12.1f req/s\n", r.cell(), r.ReqPerSec)
-				rep.Results = append(rep.Results, r)
-			}
-			fmt.Fprintf(w, "%-26s %12.2fx\n",
-				fmt.Sprintf("%s/binary:json/n%d", endpoint, n), br.ReqPerSec/jr.ReqPerSec)
+			rep.add(w, fmt.Sprintf("%s/json/n%d", endpoint, n), jsonRPS, "req/s")
+			rep.add(w, fmt.Sprintf("%s/binary/n%d", endpoint, n), binRPS, "req/s")
+			fmt.Fprintf(w, "%-26s %14.2fx\n", fmt.Sprintf("%s/binary:json/n%d", endpoint, n), binRPS/jsonRPS)
 		}
 	}
-	return rep, large, nil
+	return rep, nil
 }
 
 // measureWirePair times one (endpoint, size) cell under both codecs,
 // interleaved run by run on one server instance. Each request's reply
 // is decoded and order-verified inside the timed window — the client
 // side of the codec is part of what the wire format buys.
-func measureWirePair(endpoint string, n, runs int) (jsonRes, binRes WireResult, err error) {
+func measureWirePair(endpoint string, n, runs int) (jsonRPS, binRPS float64, err error) {
 	srv, err := server.New(server.Config{Workers: 4, MaxInFlight: 64, TraceOff: true})
 	if err != nil {
-		return WireResult{}, WireResult{}, err
+		return 0, 0, err
 	}
 	defer srv.Shutdown(context.Background())
 	handler := srv.Handler()
@@ -170,7 +96,7 @@ func measureWirePair(endpoint string, n, runs int) (jsonRes, binRes WireResult, 
 	}
 	jsonBody, err := json.Marshal(map[string]any{"keys": keys})
 	if err != nil {
-		return WireResult{}, WireResult{}, err
+		return 0, 0, err
 	}
 	binBody := wire.AppendBlock(nil, wire.KindRequest, keys)
 	path := "/" + endpoint
@@ -187,31 +113,18 @@ func measureWirePair(endpoint string, n, runs int) (jsonRes, binRes WireResult, 
 		if rec.Code != http.StatusOK {
 			return fmt.Errorf("%s n=%d: status %d", path, n, rec.Code)
 		}
-		var sorted []int64
-		if binary {
-			wantKind := byte(wire.KindReply)
-			if endpoint == "shard" {
-				wantKind = wire.KindShardReply
-			}
-			sorted, _, err = wire.ReadBlock(rec.Body, wantKind, 0)
-			if err != nil {
-				return fmt.Errorf("%s n=%d: %w", path, n, err)
-			}
-		} else {
-			var out struct {
-				Sorted []int64 `json:"sorted"`
-			}
-			if err := json.NewDecoder(rec.Body).Decode(&out); err != nil {
-				return fmt.Errorf("%s n=%d: %w", path, n, err)
-			}
-			sorted = out.Sorted
+		if !binary {
+			return decodeSorted(rec.Body, n)
 		}
-		if len(sorted) != n || !sort.SliceIsSorted(sorted, func(a, b int) bool {
-			return sorted[a] < sorted[b]
-		}) {
-			return fmt.Errorf("%s n=%d: bad reply (%d keys)", path, n, len(sorted))
+		wantKind := byte(wire.KindReply)
+		if endpoint == "shard" {
+			wantKind = wire.KindShardReply
 		}
-		return nil
+		sorted, _, err := wire.ReadBlock(rec.Body, wantKind, 0)
+		if err != nil {
+			return fmt.Errorf("%s n=%d: %w", path, n, err)
+		}
+		return checkSorted(sorted, n)
 	}
 
 	iters := 1 << 19 / n
@@ -232,11 +145,11 @@ func measureWirePair(endpoint string, n, runs int) (jsonRes, binRes WireResult, 
 	for r := 0; r <= runs; r++ {
 		tb, err := timeRun(true)
 		if err != nil {
-			return WireResult{}, WireResult{}, err
+			return 0, 0, err
 		}
 		tj, err := timeRun(false)
 		if err != nil {
-			return WireResult{}, WireResult{}, err
+			return 0, 0, err
 		}
 		if r > 0 { // run 0 warms the pool and the heap
 			binTimes = append(binTimes, tb)
@@ -244,113 +157,5 @@ func measureWirePair(endpoint string, n, runs int) (jsonRes, binRes WireResult, 
 		}
 	}
 	work := float64(iters)
-	jsonRes = WireResult{Endpoint: endpoint, Codec: "json", N: n,
-		ReqPerSec: work / median(jsonTimes).Seconds(), Runs: runs}
-	binRes = WireResult{Endpoint: endpoint, Codec: "binary", N: n,
-		ReqPerSec: work / median(binTimes).Seconds(), Runs: runs}
-	return jsonRes, binRes, nil
-}
-
-// compareWire runs the wire gates: the in-run large-cell speedup floor
-// (no baseline needed), then the baseline gates when one is present.
-func compareWire(base, cur *WireReport, large int, tol float64) []string {
-	var failures []string
-	ci := cur.index()
-
-	// Gate 1: binary must beat JSON by the contract margin on every
-	// large cell, measured within this run.
-	for _, endpoint := range []string{"sort", "shard"} {
-		b, okB := ci[WireResult{Endpoint: endpoint, Codec: "binary", N: large}.cell()]
-		j, okJ := ci[WireResult{Endpoint: endpoint, Codec: "json", N: large}.cell()]
-		if !okB || !okJ || j.ReqPerSec <= 0 {
-			continue
-		}
-		if ratio := b.ReqPerSec / j.ReqPerSec; ratio < wireMinSpeedup {
-			failures = append(failures, fmt.Sprintf(
-				"wire speedup: %s/n%d binary/json %.2fx < %.2fx — the binary codec no longer pays for itself",
-				endpoint, large, ratio, wireMinSpeedup))
-		}
-	}
-
-	if base == nil {
-		return failures
-	}
-	bi := base.index()
-
-	// Gate 2 (comparable hosts): absolute req/s geomean within tolerance.
-	if base.Host.comparable(cur.Host) {
-		var logSum float64
-		cells := 0
-		worst, worstCell := 1.0, ""
-		for _, c := range cur.Results {
-			b, ok := bi[c.cell()]
-			if !ok || b.ReqPerSec <= 0 || c.ReqPerSec <= 0 {
-				continue
-			}
-			change := c.ReqPerSec / b.ReqPerSec
-			logSum += math.Log(change)
-			cells++
-			if change < worst {
-				worst, worstCell = change, c.cell()
-			}
-		}
-		if cells > 0 {
-			if g := math.Exp(logSum / float64(cells)); g < 1-tol {
-				failures = append(failures, fmt.Sprintf(
-					"request throughput: geomean %.1f%% below baseline over %d cells (worst %s at %.1f%%)",
-					100*(1-g), cells, worstCell, 100*(1-worst)))
-			}
-		}
-	}
-
-	// Gate 3 (any host): the binary/json ratio's change vs baseline.
-	var logSum float64
-	cells := 0
-	worst, worstCell := 1.0, ""
-	for _, c := range cur.Results {
-		if c.Codec != "binary" {
-			continue
-		}
-		jsonCell := WireResult{Endpoint: c.Endpoint, Codec: "json", N: c.N}.cell()
-		cj, okCJ := ci[jsonCell]
-		bb, okBB := bi[c.cell()]
-		bj, okBJ := bi[jsonCell]
-		if !okCJ || !okBB || !okBJ || cj.ReqPerSec <= 0 || bj.ReqPerSec <= 0 || bb.ReqPerSec <= 0 {
-			continue
-		}
-		change := (c.ReqPerSec / cj.ReqPerSec) / (bb.ReqPerSec / bj.ReqPerSec)
-		logSum += math.Log(change)
-		cells++
-		if change < worst {
-			worst, worstCell = change, fmt.Sprintf("%s/n%d", c.Endpoint, c.N)
-		}
-	}
-	if cells > 0 {
-		if g := math.Exp(logSum / float64(cells)); g < 1-tol {
-			failures = append(failures, fmt.Sprintf(
-				"ratio binary/json vs baseline: geomean %.1f%% below over %d cells (worst %s)",
-				100*(1-g), cells, worstCell))
-		}
-	}
-	return failures
-}
-
-func readWireReport(path string) (*WireReport, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r WireReport
-	if err := json.Unmarshal(b, &r); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &r, nil
-}
-
-func writeWireReport(path string, r *WireReport) error {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
+	return work / median(jsonTimes).Seconds(), work / median(binTimes).Seconds(), nil
 }

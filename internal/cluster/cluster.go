@@ -396,8 +396,14 @@ func (c *Coordinator) sortShard(ctx context.Context, class, traceID string, si i
 // keys may enter the merge: exact trace echo (a foreign echo means the
 // reply answers some other request), exact length, sortedness, and the
 // sum/xor ledger — both against the coordinator's own fold of what it
-// sent and against the backend's fold of what it sorted. A duplicate
-// or stale shard reply fails the ledger here; it cannot silently pass.
+// sent and against the backend's fold of what it sorted. A reply for
+// another shard fails the ledger unless its keys happen to share this
+// shard's length, sum and xor. The fold is not a multiset hash: a
+// sorted, length-correct reply that preserves both the sum and the xor
+// passes. For shard [1 2 4 3], the value substitution [0 3 3 4] and
+// the compensating bit-flip pair [1 1 2 6] are both accepted. ROADMAP's
+// "Make the integrity checks catch what they claim" item replaces the
+// fold with a multiset hash.
 func verifyShardReply(sentKeys []int64, sent wire.Ledger, tid string, r *ShardReply) error {
 	if r.TraceEcho != "" && r.TraceEcho != tid {
 		return ErrTraceEcho

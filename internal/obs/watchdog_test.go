@@ -106,3 +106,23 @@ func TestWatchdogSilentOnFaultlessRun(t *testing.T) {
 		t.Errorf("snapshot after run: %+v", snap)
 	}
 }
+
+// TestWatchdogStopsWhenRunEndsFirst: a run can end before the watchdog
+// goroutine is first scheduled (a tiny sort on a busy host). RunEnd
+// must still stop it instead of waiting forever.
+func TestWatchdogStopsWhenRunEndsFirst(t *testing.T) {
+	for i := 0; i < 200; i++ {
+		ob := obs.New(obs.Config{Watchdog: time.Hour})
+		done := make(chan struct{})
+		go func() {
+			ob.RunStart(1)
+			ob.RunEnd()
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("run %d: RunEnd never returned: the watchdog missed its stop signal", i)
+		}
+	}
+}

@@ -191,6 +191,7 @@ func TestQoSSemBackstopRetryAfter(t *testing.T) {
 // message, a DeadlineDrop tick, and no crew slot spent. The bulk work
 // itself must all complete, proving the shed cost the crew nothing.
 func TestQoSDeadlineShedE2E(t *testing.T) {
+	const timeout = 60 * time.Second
 	bulkN := 150_000
 	floods := 8
 	if testing.Short() {
@@ -200,7 +201,7 @@ func TestQoSDeadlineShedE2E(t *testing.T) {
 		PipelineDepth: 32,
 		BatchMaxKeys:  -1,
 		MaxInFlight:   64,
-		Timeout:       60 * time.Second,
+		Timeout:       timeout,
 		QoS: &qos.Config{Classes: []qos.ClassQoS{
 			{Name: "bulk", Rate: 100000, Burst: 1000, Priority: 0},
 			{Name: "doomed", Rate: 100000, Burst: 1000, Priority: 8, DeadlineMs: 1},
@@ -208,6 +209,21 @@ func TestQoSDeadlineShedE2E(t *testing.T) {
 	})
 	rng := rand.New(rand.NewSource(11))
 	bulk := randKeys(rng, bulkN)
+
+	// Size the flood to the host. A flood request can queue behind
+	// every other one, so floods × one bulk sort must stay under a
+	// quarter of the request timeout, or a slow host (or the race
+	// detector) turns queueing into timeouts. One warm-up sort times
+	// the host and primes the pool; sort time is near-linear in N.
+	start := time.Now()
+	if code, raw, _ := doSort(t, ts.URL, "bulk", bulk); code != http.StatusOK {
+		t.Fatalf("warm-up bulk sort: status %d (%s)", code, raw)
+	}
+	if wall, budget := time.Duration(floods)*time.Since(start), timeout/4; wall > budget {
+		bulkN = max(10_000, int(float64(bulkN)*float64(budget)/float64(wall)))
+		bulk = randKeys(rng, bulkN)
+	}
+	t.Logf("flood: %d × %d keys", floods, bulkN)
 
 	// A closed-loop flood keeps the crew saturated and the queue busy;
 	// every bulk submit is also a fresh dispatcher round, so the doomed
