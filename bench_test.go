@@ -56,7 +56,7 @@ func BenchmarkE1WATNextElement(b *testing.B) {
 		var a model.Arena
 		w := wat.New(&a, n)
 		m := pram.New(pram.Config{P: 1, Mem: a.Size()})
-		w.Seed(m.Memory())
+		w.Seed(m.Memory(), w.Jobs())
 		for j := 0; j < n/2-1; j++ {
 			m.Memory()[w.NodeAddr(w.LeafNode(j))] = model.Done
 		}
@@ -107,7 +107,7 @@ func BenchmarkE3BuildTree(b *testing.B) {
 		var a model.Arena
 		s := core.NewSorter(&a, 1024, core.AllocWAT)
 		m := pram.New(pram.Config{P: 1024, Mem: a.Size(), Seed: uint64(i), Less: lessFor(keys)})
-		s.Seed(m.Memory())
+		s.Seed(m.Memory(), s.N())
 		met, err := m.Run(func(p model.Proc) { s.BuildPhase(p) })
 		if err != nil {
 			b.Fatal(err)
@@ -524,7 +524,7 @@ func BenchmarkE18NativeCAS(b *testing.B) {
 		rt := native.New(native.Config{
 			P: 4, Mem: a.Size(), Seed: uint64(i), Less: less, CountOps: true,
 		})
-		s.Seed(rt.Memory())
+		s.Seed(rt.Memory(), s.N())
 		met, err := rt.Run(s.Program())
 		if err != nil {
 			b.Fatal(err)

@@ -135,10 +135,10 @@ func (c *campaign) oneSim() (string, error) {
 	switch variant {
 	case "det":
 		s := core.NewSorter(&a, n, core.AllocWAT)
-		prog, seedFn, places = s.Program(), s.Seed, s.Places
+		prog, seedFn, places = s.Program(), func(mem []model.Word) { s.Seed(mem, n) }, s.Places
 	case "rand":
 		s := core.NewSorter(&a, n, core.AllocRandomized)
-		prog, seedFn, places = s.Program(), s.Seed, s.Places
+		prog, seedFn, places = s.Program(), func(mem []model.Word) { s.Seed(mem, n) }, s.Places
 	default:
 		s := lowcont.New(&a, n, p)
 		prog, seedFn, places = s.Program(), s.Seed, s.Places
@@ -187,7 +187,7 @@ func (c *campaign) oneNative() (string, error) {
 			allocKind = core.AllocWAT
 		}
 		s := core.NewSorterTuned(a, n, allocKind, tun)
-		alloc, prog, seedFn, places, live = a, s.Program(), s.Seed, s.Places, s.LiveProgress
+		alloc, prog, seedFn, places, live = a, s.Program(), func(mem []model.Word) { s.Seed(mem, n) }, s.Places, s.LiveProgress
 	default:
 		a := native.NewArena(native.Padded)
 		s := lowcont.New(a, n, p)

@@ -86,10 +86,10 @@ func runSim(w io.Writer, n, p int, variant string, seed uint64, metric string, w
 	switch variant {
 	case "det":
 		s := core.NewSorter(&a, n, core.AllocWAT)
-		prog, seedFn = s.Program(), s.Seed
+		prog, seedFn = s.Program(), func(mem []model.Word) { s.Seed(mem, n) }
 	case "rand":
 		s := core.NewSorter(&a, n, core.AllocRandomized)
-		prog, seedFn = s.Program(), s.Seed
+		prog, seedFn = s.Program(), func(mem []model.Word) { s.Seed(mem, n) }
 	case "lowcont":
 		s := lowcont.New(&a, n, p)
 		prog, seedFn = s.Program(), s.Seed
@@ -161,7 +161,7 @@ func runNative(w io.Writer, n, p int, variant, layoutName string, seed uint64, o
 			allocKind = core.AllocWAT
 		}
 		s := core.NewSorterTuned(a, n, allocKind, tun)
-		alloc, prog, seedFn, places = a, s.Program(), s.Seed, s.Places
+		alloc, prog, seedFn, places = a, s.Program(), func(mem []model.Word) { s.Seed(mem, n) }, s.Places
 	case "lowcont":
 		if p < 4 || n < p {
 			return fmt.Errorf("lowcont needs p >= 4 and n >= p, got n=%d p=%d", n, p)

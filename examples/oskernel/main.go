@@ -51,7 +51,7 @@ func main() {
 	var arena model.Arena
 	sorter := core.NewSorter(&arena, n, core.AllocRandomized)
 	rt := native.New(native.Config{P: workers, Mem: arena.Size(), Less: less})
-	sorter.Seed(rt.Memory())
+	sorter.Seed(rt.Memory(), n)
 
 	// The "kernel": while the sort runs in the background, reclaim half
 	// the processors, then hand one back.

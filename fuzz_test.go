@@ -286,6 +286,10 @@ func FuzzSorterReuse(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{7}, 50), uint16(11))
 	f.Add([]byte{9, 8, 7, 6, 5}, uint16(900))
 	f.Add([]byte{}, uint16(5))
+	// One 1024-key context through live counts C−1, C/2+1, C.
+	f.Add(bytes.Repeat([]byte{200, 3, 77}, 11)[:31], uint16(32))
+	f.Add(bytes.Repeat([]byte{5, 250}, 14)[:27], uint16(18))
+	f.Add(bytes.Repeat([]byte{1, 128, 64, 9}, 8), uint16(31))
 	f.Fuzz(func(t *testing.T, raw []byte, rep uint16) {
 		fuzzSorterOnce.Do(func() {
 			fuzzSorter, fuzzSorterErr = wfsort.NewSorter[int](wfsort.WithWorkers(4))
@@ -294,7 +298,7 @@ func FuzzSorterReuse(f *testing.F) {
 			t.Fatal(fuzzSorterErr)
 		}
 		// Replicate the seed bytes to reach real pool classes (and odd
-		// sizes that exercise virtual padding), capped to keep execs fast.
+		// sizes that fill a class partially), capped to keep execs fast.
 		n := len(raw) * (int(rep)%40 + 1)
 		if n > 5000 {
 			n = 5000

@@ -206,7 +206,7 @@ func NewBitonicRobust(a *model.Arena, n int) *BitonicRobust {
 func (s *BitonicRobust) Seed(mem []Word) {
 	s.net.seed(mem)
 	for _, w := range s.wats {
-		w.Seed(mem)
+		w.Seed(mem, w.Jobs())
 	}
 }
 

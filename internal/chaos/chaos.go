@@ -319,7 +319,8 @@ func RunNative(spec Spec) (res Result, err error) {
 	} else {
 		a, tun := ArenaFor(n, spec.P, spec.Layout)
 		s := core.NewSorterTuned(a, n, core.AllocRandomized, tun)
-		alloc, prog, seedFn, places, progress = a, s.Program(), s.Seed, s.Places, s.Progress
+		seedFn = func(mem []model.Word) { s.Seed(mem, n) }
+		alloc, prog, places, progress = a, s.Program(), s.Places, s.Progress
 	}
 
 	var observer *obs.Observer
@@ -401,6 +402,18 @@ type PipelinedSpec struct {
 // interleaving; an N-sized window lets kills miss.
 const pipelinedCrashWindow = 32
 
+// pipelinedCapacity is the layout size of RunPipelined's job j in
+// units of N. Jobs 2 and 3 of every four are laid out for 2N and seeded
+// at live count N, as a pooled request sorts inside a larger size
+// class, so one struck and one faultless job in each four certify the
+// live-count path.
+func pipelinedCapacity(j int) int {
+	if j%4 >= 2 {
+		return 2
+	}
+	return 1
+}
+
 // RunPipelined is the serving-regime counterpart of RunNative: it
 // certifies wait-freedom across job boundaries, not just within one
 // sort. All jobs are submitted up front so they genuinely overlap, then
@@ -435,9 +448,9 @@ func RunPipelined(spec PipelinedSpec) ([]Result, error) {
 	for j := 0; j < spec.Jobs; j++ {
 		keys := randKeys(spec.N, spec.Seed+uint64(j)*0x9e37)
 		a := &model.Arena{}
-		s := core.NewSorter(a, spec.N, core.AllocRandomized)
+		s := core.NewSorter(a, spec.N*pipelinedCapacity(j), core.AllocRandomized)
 		mem := make([]model.Word, a.Size())
-		s.Seed(mem)
+		s.Seed(mem, spec.N)
 		job := native.PipeJob{
 			Graph: s.Graph(), Mem: mem, Less: lessFor(keys),
 			Seed: spec.Seed + uint64(j),
@@ -457,6 +470,9 @@ func RunPipelined(spec PipelinedSpec) ([]Result, error) {
 		res := Result{
 			Policy: "pipelined-crash-half", Variant: "randomized", Layout: "dense",
 			N: spec.N, P: spec.P, Seed: spec.Seed + uint64(j),
+		}
+		if pipelinedCapacity(j) > 1 {
+			res.Layout = "dense-2n"
 		}
 		met, werr := f.run.Wait()
 		if werr != nil {
@@ -518,7 +534,8 @@ func RunPram(spec Spec) ([]int, *model.Metrics, error) {
 		prog, seedFn, places = s.Program(), s.Seed, s.Places
 	} else {
 		s := core.NewSorter(&a, n, core.AllocRandomized)
-		prog, seedFn, places = s.Program(), s.Seed, s.Places
+		seedFn = func(mem []model.Word) { s.Seed(mem, n) }
+		prog, places = s.Program(), s.Places
 	}
 	var sched pram.Scheduler
 	if len(spec.Crashes) > 0 {

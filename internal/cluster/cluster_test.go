@@ -194,14 +194,24 @@ func (s *slowTransport) SortShard(ctx context.Context, sr ShardRequest) (*ShardR
 }
 
 // TestClusterSlowBackend routes around a backend whose every reply
-// exceeds the per-shard timeout.
+// exceeds the per-shard timeout. The timeout scales with this host's
+// speed — ten times one timed shard sort on a healthy backend (its
+// first, context build included), never under 100 ms — so a loaded or
+// race-instrumented host does not time the healthy backends out too.
 func TestClusterSlowBackend(t *testing.T) {
 	fleet := newFleet(t, 3)
+	t0 := time.Now()
+	warm, err := fleet[0].SortShard(context.Background(), ShardRequest{Class: "default", TraceID: "t-warm", Keys: randKeys(1024, 18)})
+	if err != nil || warm.Status != http.StatusOK {
+		t.Fatalf("warm-up shard: %v (reply %+v)", err, warm)
+	}
+	timeout := max(100*time.Millisecond, 10*time.Since(t0))
+	t.Logf("shard timeout %v", timeout)
 	fleet[1] = &slowTransport{Transport: fleet[1], delay: 5 * time.Second}
 	c, err := New(Config{
 		Backends:     fleet,
 		ShardKeys:    1024,
-		ShardTimeout: 100 * time.Millisecond,
+		ShardTimeout: timeout,
 		CoolDown:     10 * time.Second,
 	})
 	if err != nil {

@@ -80,7 +80,7 @@ func TestTunedSorterCounterTotals(t *testing.T) {
 			Batch: 8, SkipKeyRead: true, Shards: p, HostShuffle: true,
 		})
 		m := pram.New(pram.Config{P: p, Mem: arena.Size(), Seed: 7, Less: lessFor(keys)})
-		s.Seed(m.Memory())
+		s.Seed(m.Memory(), s.N())
 		if _, err := m.Run(s.Program()); err != nil {
 			t.Fatalf("alloc=%v: %v", alloc, err)
 		}
@@ -111,7 +111,7 @@ func TestTunedMatchesUntunedResults(t *testing.T) {
 		var a model.Arena
 		s := NewSorterTuned(&a, n, AllocRandomized, Tuning{Batch: batch, HostShuffle: true})
 		m := pram.New(pram.Config{P: p, Mem: a.Size(), Seed: 11, Less: lessFor(keys)})
-		s.Seed(m.Memory())
+		s.Seed(m.Memory(), s.N())
 		if _, err := m.Run(s.Program()); err != nil {
 			t.Fatalf("batch=%d: %v", batch, err)
 		}

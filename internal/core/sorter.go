@@ -111,6 +111,11 @@ type Sorter struct {
 	n     int
 	alloc Alloc
 	tun   Tuning
+	// live is the number of elements the current run sorts: elements
+	// 1..live of the n laid out (see Seed). Every phase bounds its work
+	// by it, so a pooled context sorts a request at its own size; rows
+	// live+1..n stay untouched.
+	live int
 
 	// sumCtr and placeCtr count distinct phase-2 size installs and
 	// phase-3 place installs (see Tuning.Shards). Both are zero-valued
@@ -209,6 +214,7 @@ func NewTableNamed(a model.Allocator, n int, prefix string) *Sorter {
 	}
 	s := &Sorter{
 		n:         n,
+		live:      n,
 		key:       a.Named(prefix+"key", n+1),
 		size:      a.Named(prefix+"size", n+1),
 		place:     a.Named(prefix+"place", n+1),
@@ -220,16 +226,24 @@ func NewTableNamed(a model.Allocator, n int, prefix string) *Sorter {
 	return s
 }
 
-// N returns the input size.
+// N returns the laid-out input size (the capacity).
 func (s *Sorter) N() int { return s.n }
 
-// Seed initializes work-assignment padding in the runtime's memory.
-func (s *Sorter) Seed(mem []Word) {
+// Seed prepares zeroed memory for a run that sorts elements 1..live of
+// the n laid out (1 <= live <= n): it records the live count and
+// pre-marks the work-assignment leaves past it DONE. One-shot sorts
+// pass live = n; a pooled context passes the request size. The caller
+// must not reseed while workers of a run are still reading the sorter.
+func (s *Sorter) Seed(mem []Word, live int) {
+	if live < 1 || live > s.n {
+		panic("core: live count out of range")
+	}
+	s.live = live
 	if s.build != nil {
-		s.build.Seed(mem)
+		s.build.Seed(mem, ceilDiv(live-1, s.batch()))
 	}
 	if s.shuffle != nil {
-		s.shuffle.Seed(mem)
+		s.shuffle.Seed(mem, ceilDiv(live, s.batch()))
 	}
 }
 
@@ -278,7 +292,7 @@ func (s *Sorter) buildGraph() {
 		g.Add(engine.Phase{
 			Name: "2:sum",
 			Body: func(p model.Proc, _ any) { s.treeSum(p, 1, 0) },
-			Done: func(mem []Word) bool { sized, _ := s.Progress(mem); return sized == s.n },
+			Done: func(mem []Word) bool { sized, _ := s.Progress(mem); return sized == s.live },
 		})
 		g.Add(engine.Phase{
 			Name: "3:place",
@@ -292,18 +306,18 @@ func (s *Sorter) buildGraph() {
 			// The root's placeDone mark can legitimately be skipped under
 			// the tuned early exit, so completion is judged on the ranks
 			// themselves.
-			Done: func(mem []Word) bool { _, placed := s.Progress(mem); return placed == s.n },
+			Done: func(mem []Word) bool { _, placed := s.Progress(mem); return placed == s.live },
 		})
 	} else {
 		g.Add(engine.Phase{
 			Name: "2:sum",
 			Body: func(p model.Proc, _ any) { p.Write(s.size.At(1), 1) },
-			Done: func(mem []Word) bool { sized, _ := s.Progress(mem); return sized == s.n },
+			Done: func(mem []Word) bool { sized, _ := s.Progress(mem); return sized == s.live },
 		})
 		g.Add(engine.Phase{
 			Name: "3:place",
 			Body: func(p model.Proc, _ any) { p.Write(s.place.At(1), 1) },
-			Done: func(mem []Word) bool { _, placed := s.Progress(mem); return placed == s.n },
+			Done: func(mem []Word) bool { _, placed := s.Progress(mem); return placed == s.live },
 		})
 	}
 	if s.tun.HostShuffle {
@@ -325,7 +339,7 @@ func (s *Sorter) buildGraph() {
 				batch := s.batch()
 				s.shuffle.Run(p, func(j int) {
 					lo := j*batch + 1
-					hi := min(lo+batch-1, s.n)
+					hi := min(lo+batch-1, s.live)
 					for elem := lo; elem <= hi; elem++ {
 						r := p.Read(s.place.At(elem))
 						p.Write(s.out.At(int(r)-1), Word(elem))
@@ -333,7 +347,7 @@ func (s *Sorter) buildGraph() {
 				})
 			},
 			Done: func(mem []Word) bool {
-				for r := 0; r < s.n; r++ {
+				for r := 0; r < s.live; r++ {
 					if mem[s.out.At(r)] == model.Empty {
 						return false
 					}
@@ -349,7 +363,7 @@ func (s *Sorter) buildGraph() {
 // same permutation the shared-memory shuffle publishes, computed on
 // quiescent memory without the write-all pass.
 func (s *Sorter) scatterHost(mem []Word) {
-	for i := 1; i <= s.n; i++ {
+	for i := 1; i <= s.live; i++ {
 		mem[s.out.At(int(mem[s.place.At(i)])-1)] = Word(i)
 	}
 }
@@ -366,7 +380,7 @@ func (s *Sorter) batch() int {
 // configured allocation — exposed so experiments can measure the phase
 // in isolation.
 func (s *Sorter) BuildPhase(p model.Proc) {
-	if s.n <= 1 {
+	if s.live <= 1 {
 		return
 	}
 	switch s.alloc {
@@ -378,8 +392,8 @@ func (s *Sorter) BuildPhase(p model.Proc) {
 }
 
 // TreeIsSortedBST verifies, host-side after a run, that the pivot tree
-// rooted at element 1 contains all n elements exactly once and that an
-// in-order traversal enumerates them in increasing key order
+// rooted at element 1 contains all live elements exactly once and that
+// an in-order traversal enumerates them in increasing key order
 // (Lemma 2.5).
 func (s *Sorter) TreeIsSortedBST(mem []Word, less func(i, j int) bool) bool {
 	return s.TreeIsSortedBSTFrom(mem, 1, less)
@@ -388,13 +402,13 @@ func (s *Sorter) TreeIsSortedBST(mem []Word, less func(i, j int) bool) bool {
 // TreeIsSortedBSTFrom is TreeIsSortedBST for a tree rooted at an
 // arbitrary element (the §3 sort's root is a winner sample).
 func (s *Sorter) TreeIsSortedBSTFrom(mem []Word, root int, less func(i, j int) bool) bool {
-	order := make([]int, 0, s.n)
+	order := make([]int, 0, s.live)
 	var walk func(i int) bool
 	walk = func(i int) bool {
 		if i == 0 {
 			return true
 		}
-		if i < 0 || i > s.n || len(order) > s.n {
+		if i < 0 || i > s.live || len(order) > s.live {
 			return false
 		}
 		if !walk(int(mem[s.child[Small].At(i)])) {
@@ -403,7 +417,7 @@ func (s *Sorter) TreeIsSortedBSTFrom(mem []Word, root int, less func(i, j int) b
 		order = append(order, i)
 		return walk(int(mem[s.child[Big].At(i)]))
 	}
-	if !walk(root) || len(order) != s.n {
+	if !walk(root) || len(order) != s.live {
 		return false
 	}
 	for k := 1; k < len(order); k++ {
@@ -415,13 +429,13 @@ func (s *Sorter) TreeIsSortedBSTFrom(mem []Word, root int, less func(i, j int) b
 }
 
 // buildSpan returns the element range [lo, hi] covered by build job j
-// (elements 2..n are inserted; element 1 is the root and needs no
+// (elements 2..live are inserted; element 1 is the root and needs no
 // insertion). With Batch == 1 job j covers exactly element j+2, the
 // seed mapping.
 func (s *Sorter) buildSpan(j int) (lo, hi int) {
 	b := s.batch()
 	lo = j*b + 2
-	hi = min(lo+b-1, s.n)
+	hi = min(lo+b-1, s.live)
 	return lo, hi
 }
 
@@ -469,7 +483,7 @@ func (s *Sorter) buildPhaseWAT(p model.Proc) {
 // ever inserted as an ascending run of input positions and the
 // O(log N)-depth argument holds for any input order.
 func (s *Sorter) buildPhaseRandomized(p model.Proc) {
-	jobs := s.build.Jobs()
+	jobs := ceilDiv(s.live-1, s.batch()) // the live jobs Seed left unmarked
 	logN := bits.Len(uint(jobs)) + 1
 	rng := p.Rand()
 	scratch := make([]int, s.batch())
@@ -627,11 +641,11 @@ type descentState struct {
 //
 // st is nil outside the native fast path. When set, the worker installs
 // places by CAS and counts distinct installs in a sharded counter;
-// every 64 visits it aggregates the counter, and once all n places are
-// installed it abandons the rest of its traversal. Pruning on placeDone
-// alone cannot do this: the bottom-up marks appear long after the place
-// values they summarize, so late workers redundantly re-walk subtrees
-// whose output is already complete.
+// every 64 visits it aggregates the counter, and once all live places
+// are installed it abandons the rest of its traversal. Pruning on
+// placeDone alone cannot do this: the bottom-up marks appear long after
+// the place values they summarize, so late workers redundantly re-walk
+// subtrees whose output is already complete.
 func (s *Sorter) findPlace(p model.Proc, i int, sub Word, d int, st *descentState) {
 	if i == 0 || (st != nil && st.done) {
 		return
@@ -641,7 +655,7 @@ func (s *Sorter) findPlace(p model.Proc, i int, sub Word, d int, st *descentStat
 	}
 	if st != nil {
 		st.visits++
-		if st.visits&63 == 0 && s.placeCtr.Sum(p) >= Word(s.n) {
+		if st.visits&63 == 0 && s.placeCtr.Sum(p) >= Word(s.live) {
 			st.done = true
 			return
 		}
@@ -673,20 +687,20 @@ func (s *Sorter) findPlace(p model.Proc, i int, sub Word, d int, st *descentStat
 	p.Write(s.placeDone.At(i), model.Done)
 }
 
-// Places extracts the 1-based rank of every element after a run:
+// Places extracts the 1-based rank of every live element after a run:
 // Places(mem)[i-1] is element i's position in sorted order.
 func (s *Sorter) Places(mem []Word) []int {
-	ranks := make([]int, s.n)
+	ranks := make([]int, s.live)
 	s.PlacesInto(mem, ranks)
 	return ranks
 }
 
 // PlacesInto is Places without the allocation: it fills dst[i-1] with
-// element i's rank for the first min(n, len(dst)) elements. The pooled
-// serving layer (internal/pool) calls it with a context-owned scratch
-// slice so steady-state sorts never allocate rank tables.
+// element i's rank for the first min(live, len(dst)) elements. The
+// pooled serving layer (internal/pool) calls it with a context-owned
+// scratch slice so steady-state sorts never allocate rank tables.
 func (s *Sorter) PlacesInto(mem []Word, dst []int) {
-	n := min(s.n, len(dst))
+	n := min(s.live, len(dst))
 	for i := 1; i <= n; i++ {
 		dst[i-1] = int(mem[s.place.At(i)])
 	}
@@ -695,9 +709,9 @@ func (s *Sorter) PlacesInto(mem []Word, dst []int) {
 // Progress reports, host-side, how far a run got through phases 2 and
 // 3: the number of elements whose subtree size is installed and the
 // number whose rank is installed. After any completed run — faultless
-// or not — both equal N; a partial count is the forensic trail of a run
-// that lost every worker, which is what the chaos certifier reports
-// when a fault schedule proves too aggressive.
+// or not — both equal the live count; a partial count is the forensic
+// trail of a run that lost every worker, which is what the chaos
+// certifier reports when a fault schedule proves too aggressive.
 func (s *Sorter) Progress(mem []Word) (sized, placed int) {
 	return s.progressScan(mem, plainLoad)
 }
@@ -716,7 +730,7 @@ func (s *Sorter) LiveProgress(mem []Word) (sized, placed int) {
 // load discipline: plain loads on quiescent memory (Progress), atomic
 // loads while workers are in flight (LiveProgress).
 func (s *Sorter) progressScan(mem []Word, load func(*Word) Word) (sized, placed int) {
-	for i := 1; i <= s.n; i++ {
+	for i := 1; i <= s.live; i++ {
 		if load(&mem[s.size.At(i)]) != model.Empty {
 			sized++
 		}
@@ -733,8 +747,8 @@ func atomicLoad(w *Word) Word { return atomic.LoadInt64(w) }
 // Output extracts the shuffled result: Output(mem)[r] is the element id
 // with rank r+1.
 func (s *Sorter) Output(mem []Word) []int {
-	ids := make([]int, s.n)
-	for r := 0; r < s.n; r++ {
+	ids := make([]int, s.live)
+	for r := 0; r < s.live; r++ {
 		ids[r] = int(mem[s.out.At(r)])
 	}
 	return ids
@@ -759,11 +773,11 @@ func (s *Sorter) DepthFrom(mem []Word, i int) int {
 	return 1 + max(dS, dB)
 }
 
-// MeanDepth returns the mean depth of the pivot tree's n nodes (root =
-// depth 1), measured host-side after a completed run: the average
-// insertion path length, where Depth is the worst one.
+// MeanDepth returns the mean depth of the pivot tree's live nodes
+// (root = depth 1), measured host-side after a completed run: the
+// average insertion path length, where Depth is the worst one.
 func (s *Sorter) MeanDepth(mem []Word) float64 {
-	return float64(s.depthSum(mem, 1, 1)) / float64(s.n)
+	return float64(s.depthSum(mem, 1, 1)) / float64(s.live)
 }
 
 // depthSum returns the sum of node depths in the subtree rooted at
@@ -838,8 +852,8 @@ func ceilDiv(a, b int) int { return (a + b - 1) / b }
 // CounterTotals reports the sharded counters' host-side aggregates
 // after a run: distinct phase-2 size installs and distinct phase-3
 // place installs. Both zero unless the sorter was built with
-// Tuning.Shards > 0. After a completed tuned run both must equal N —
-// the invariant the fast-path tests pin down.
+// Tuning.Shards > 0. After a completed tuned run both must equal the
+// live count — the invariant the fast-path tests pin down.
 func (s *Sorter) CounterTotals(mem []Word) (sum, place Word) {
 	return s.sumCtr.HostSum(mem), s.placeCtr.HostSum(mem)
 }

@@ -50,7 +50,7 @@ func runSort(t *testing.T, keys []int, p int, alloc Alloc, seed uint64, sched pr
 	m := pram.New(pram.Config{
 		P: p, Mem: a.Size(), Seed: seed, Sched: sched, Less: lessFor(keys),
 	})
-	s.Seed(m.Memory())
+	s.Seed(m.Memory(), s.N())
 	met, err := m.Run(s.Program())
 	if err != nil {
 		t.Fatalf("sort(n=%d P=%d alloc=%d): %v", len(keys), p, alloc, err)
@@ -205,7 +205,7 @@ func TestProgressCountsCompletedRun(t *testing.T) {
 	var a model.Arena
 	fresh := NewSorter(&a, len(keys), AllocRandomized)
 	mem := make([]model.Word, a.Size())
-	fresh.Seed(mem)
+	fresh.Seed(mem, fresh.N())
 	if sized, placed := fresh.Progress(mem); sized != 0 || placed != 0 {
 		t.Errorf("fresh memory: sized=%d placed=%d, want 0/0", sized, placed)
 	}
@@ -275,7 +275,7 @@ func TestLemma24BuildTreeOpsBounded(t *testing.T) {
 	var a model.Arena
 	s := NewSorter(&a, n, AllocWAT)
 	m := pram.New(pram.Config{P: 1, Mem: a.Size(), Less: lessFor(keys)})
-	s.Seed(m.Memory())
+	s.Seed(m.Memory(), s.N())
 	met, err := m.Run(func(p model.Proc) {
 		p.Phase("build-only")
 		s.buildPhaseWAT(p)
@@ -344,12 +344,11 @@ func TestRandomizedAllocationKeepsTreeShallow(t *testing.T) {
 // path to the same §2.3 bound on real goroutines: the LayoutSharded
 // tuning (block claims sized by sizeclass.Batch, sharded install
 // counters) at P=2, on uniform, sorted and reversed inputs, plus a
-// pooled request at 0.55x its size class, whose virtual pads (ids past
-// the request, greatest and ordered by index) form a sorted tail. The
-// bounds sit ~1.3x (mean) and ~1.4x (max) above the worst of 20 seeds.
-// A completion sweep that inserts whole blocks in ascending order grows
-// chains thousands of nodes deep on the sorted, reversed and padded
-// inputs and fails them.
+// pooled request at 0.55x its size class, seeded at that live count so
+// it sorts only its own elements. The bounds sit ~1.3x (mean) and ~1.4x
+// (max) above the worst of 20 seeds. A completion sweep that inserts
+// whole blocks in ascending order grows chains thousands of nodes deep
+// on the sorted and reversed inputs and fails them.
 func TestTunedRandomizedAllocationKeepsTreeShallow(t *testing.T) {
 	const meanBound, maxBound = 6, 14 // × log2 N
 	type tc struct {
@@ -372,19 +371,12 @@ func TestTunedRandomizedAllocationKeepsTreeShallow(t *testing.T) {
 			for i := range keys {
 				keys[i] = c.key(i)
 			}
-			byKey := lessFor(keys)
-			less := func(i, j int) bool {
-				if i > c.real || j > c.real {
-					return i < j
-				}
-				return byKey(i, j)
-			}
 			arena := native.NewArena(native.Padded)
 			s := NewSorterTuned(arena, c.n, AllocRandomized, Tuning{
 				Batch: sizeclass.Batch(c.n, 2), SkipKeyRead: true, Shards: 2, HostShuffle: true,
 			})
-			rt := native.New(native.Config{P: 2, Mem: arena.Size(), Seed: 3, Less: less})
-			s.Seed(rt.Memory())
+			rt := native.New(native.Config{P: 2, Mem: arena.Size(), Seed: 3, Less: lessFor(keys)})
+			s.Seed(rt.Memory(), c.real)
 			if _, err := rt.Run(s.Program()); err != nil {
 				t.Fatal(err)
 			}
@@ -395,7 +387,7 @@ func TestTunedRandomizedAllocationKeepsTreeShallow(t *testing.T) {
 					t.Fatalf("element %d rank %d, want %d", i+1, got[i], want)
 				}
 			}
-			logN := math.Log2(float64(c.n))
+			logN := math.Log2(float64(c.real))
 			mean, depth := s.MeanDepth(mem), s.Depth(mem)
 			if mean > meanBound*logN || float64(depth) > maxBound*logN {
 				t.Errorf("mean depth %.1f (bound %.0f), max depth %d (bound %.0f)",
@@ -413,7 +405,7 @@ func TestPlacePermutationProperty(t *testing.T) {
 		var a model.Arena
 		s := NewSorter(&a, n, AllocWAT)
 		m := pram.New(pram.Config{P: p, Mem: a.Size(), Seed: seed, Less: lessFor(keys)})
-		s.Seed(m.Memory())
+		s.Seed(m.Memory(), s.N())
 		if _, err := m.Run(s.Program()); err != nil {
 			return false
 		}

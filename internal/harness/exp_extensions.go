@@ -126,7 +126,7 @@ func E16AsyncWork(o Options) (*Table, error) {
 			var a model.Arena
 			srt := core.NewSorter(&a, len(keys), core.AllocWAT)
 			m := pram.New(pram.Config{P: p, Mem: a.Size(), Seed: o.Seed, Sched: s, Less: LessFor(keys)})
-			srt.Seed(m.Memory())
+			srt.Seed(m.Memory(), len(keys))
 			met, err := m.Run(srt.Program())
 			if err != nil {
 				return SortResult{}, nil, err

@@ -84,6 +84,6 @@ func buildNative(keys []int, p int, seed uint64) (*native.Runtime, *core.Sorter,
 	var a model.Arena
 	s := core.NewSorter(&a, len(keys), core.AllocRandomized)
 	rt := native.New(native.Config{P: p, Mem: a.Size(), Seed: seed, Less: LessFor(keys)})
-	s.Seed(rt.Memory())
+	s.Seed(rt.Memory(), len(keys))
 	return rt, s, nil
 }

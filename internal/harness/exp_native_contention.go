@@ -43,7 +43,7 @@ func E18NativeCAS(o Options) (*Table, error) {
 	}{
 		{"deterministic", func(a *model.Arena) (model.Program, func([]model.Word), func([]model.Word) []int) {
 			s := core.NewSorter(a, n, core.AllocRandomized)
-			return s.Program(), s.Seed, s.Places
+			return s.Program(), func(mem []model.Word) { s.Seed(mem, n) }, s.Places
 		}},
 		{"lowcontention", func(a *model.Arena) (model.Program, func([]model.Word), func([]model.Word) []int) {
 			s := lowcont.New(a, n, workers)

@@ -26,7 +26,7 @@ func E3BuildTree(o Options) (*Table, error) {
 		var a model.Arena
 		s := core.NewSorter(&a, n, core.AllocWAT)
 		m := pram.New(pram.Config{P: n, Mem: a.Size(), Seed: o.Seed, Less: LessFor(keys)})
-		s.Seed(m.Memory())
+		s.Seed(m.Memory(), n)
 		met, err := m.Run(func(p model.Proc) {
 			p.Phase("build")
 			s.BuildPhase(p)
@@ -63,7 +63,7 @@ func E4Phases23(o Options) (*Table, error) {
 		var a model.Arena
 		s := core.NewSorter(&a, n, core.AllocWAT)
 		m := pram.New(pram.Config{P: n, Mem: a.Size(), Seed: o.Seed, Less: LessFor(keys)})
-		s.Seed(m.Memory())
+		s.Seed(m.Memory(), n)
 		met, err := m.Run(s.Program())
 		if err != nil {
 			return nil, err

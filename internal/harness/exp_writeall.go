@@ -57,7 +57,7 @@ func nextElementCost(n int, prepare func(mem []model.Word, w *wat.WAT, n int) in
 	var a model.Arena
 	w := wat.New(&a, n)
 	m := pram.New(pram.Config{P: 1, Mem: a.Size()})
-	w.Seed(m.Memory())
+	w.Seed(m.Memory(), n)
 	start := prepare(m.Memory(), w, n)
 	met, err := m.Run(func(p model.Proc) {
 		w.NextElement(p, start)

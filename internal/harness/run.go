@@ -111,7 +111,7 @@ func RunCoreSort(keys []int, p int, alloc core.Alloc, seed uint64, sched pram.Sc
 	var a model.Arena
 	s := core.NewSorter(&a, len(keys), alloc)
 	m := pram.New(pram.Config{P: p, Mem: a.Size(), Seed: seed, Sched: sched, Less: LessFor(keys)})
-	s.Seed(m.Memory())
+	s.Seed(m.Memory(), len(keys))
 	met, err := m.Run(s.Program())
 	return coreResult(s, m.Memory(), met, err, keys)
 }
@@ -123,7 +123,7 @@ func RunShardedNativeSort(keys []int, p int, seed uint64) (SortResult, error) {
 	a, tun := chaos.ArenaFor(len(keys), p, chaos.LayoutSharded)
 	s := core.NewSorterTuned(a, len(keys), core.AllocRandomized, tun)
 	rt := native.New(native.Config{P: p, Mem: a.Size(), Seed: seed, Less: LessFor(keys), CountOps: true})
-	s.Seed(rt.Memory())
+	s.Seed(rt.Memory(), len(keys))
 	met, err := rt.Run(s.Program())
 	return coreResult(s, rt.Memory(), met, err, keys)
 }

@@ -203,7 +203,7 @@ func (s *Sorter) FatFilled(mem []Word) (filled, total int) {
 // Seed initializes work-assignment padding in the runtime's memory.
 func (s *Sorter) Seed(mem []Word) {
 	for i := range s.groups {
-		s.groups[i].sorter.Seed(mem)
+		s.groups[i].sorter.Seed(mem, s.groups[i].sorter.N())
 	}
 	s.glue.Seed(mem)
 	s.shuf.Seed(mem)

@@ -162,7 +162,7 @@ func TestHeadlineContentionSqrtP(t *testing.T) {
 		var aDet model.Arena
 		det := core.NewSorter(&aDet, p, core.AllocWAT)
 		mDet := pram.New(pram.Config{P: p, Mem: aDet.Size(), Seed: 1, Less: lessFor(keys)})
-		det.Seed(mDet.Memory())
+		det.Seed(mDet.Memory(), det.N())
 		metDet, err := mDet.Run(det.Program())
 		if err != nil {
 			t.Fatal(err)

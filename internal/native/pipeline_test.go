@@ -17,7 +17,7 @@ func pipeSortJob(keys []int, seed uint64) (PipeJob, *core.Sorter, []Word) {
 	var a model.Arena
 	s := core.NewSorter(&a, len(keys), core.AllocRandomized)
 	mem := make([]Word, a.Size())
-	s.Seed(mem)
+	s.Seed(mem, s.N())
 	less := func(i, j int) bool {
 		ki, kj := keys[i-1], keys[j-1]
 		if ki != kj {
@@ -279,7 +279,7 @@ func TestPipelineNotifyMonotonePerIncarnation(t *testing.T) {
 		var mu sync.Mutex
 		notified := make([][]int, 4)
 		rt := New(Config{P: 4, Mem: a.Size(), Seed: tc.seed, Less: less, Adversary: plan})
-		s.Seed(rt.Memory())
+		s.Seed(rt.Memory(), s.N())
 		met, err := rt.Run(func(p model.Proc) {
 			pid := p.ID()
 			s.Graph().RunNotify(p, func(k int) {

@@ -22,8 +22,8 @@ type JobQoS struct {
 	// is later. Ordering between tiers is the queue policy's business.
 	Priority int
 	// EstCost is a service-cost estimate used for shortest-job-first
-	// tie-breaks within a tier (the serving layer passes the sizeclass
-	// capacity the sort will actually run at). 0 means unknown.
+	// tie-breaks within a tier (the serving layer passes the number of
+	// keys the sort will actually run at). 0 means unknown.
 	EstCost int64
 	// Deadline, when non-zero, is the instant after which completing
 	// the job is worthless; the queue policy may shed the job once the

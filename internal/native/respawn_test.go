@@ -190,7 +190,7 @@ func TestRespawnDuringPhase3AllLayouts(t *testing.T) {
 				},
 				Adversary: adv,
 			})
-			s.Seed(rt.Memory())
+			s.Seed(rt.Memory(), s.N())
 			prog := s.Program()
 			met, err := rt.Run(func(pr model.Proc) {
 				prog(phaseTap{Proc: pr, adv: adv, phase: "3:place"})
@@ -243,7 +243,7 @@ func TestKillAllButOneEveryLayout(t *testing.T) {
 				},
 				Adversary: plan,
 			})
-			s.Seed(rt.Memory())
+			s.Seed(rt.Memory(), s.N())
 			met, err := rt.Run(s.Program())
 			if err != nil {
 				t.Fatalf("Run: %v", err)

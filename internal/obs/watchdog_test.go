@@ -38,7 +38,7 @@ func TestWatchdogFlagsPermanentStall(t *testing.T) {
 		P: p, Mem: a.Size(), Seed: 1, Less: harness.LessFor(keys),
 		CountOps: true, Adversary: pl, Observer: ob,
 	})
-	s.Seed(rt.Memory())
+	s.Seed(rt.Memory(), s.N())
 
 	go func() {
 		deadline := time.Now().Add(20 * time.Second)
@@ -94,7 +94,7 @@ func TestWatchdogSilentOnFaultlessRun(t *testing.T) {
 	rt := native.New(native.Config{
 		P: p, Mem: a.Size(), Seed: 2, Less: harness.LessFor(keys), Observer: ob,
 	})
-	s.Seed(rt.Memory())
+	s.Seed(rt.Memory(), s.N())
 	if _, err := rt.Run(s.Program()); err != nil {
 		t.Fatalf("Run: %v", err)
 	}

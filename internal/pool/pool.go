@@ -1,16 +1,18 @@
 // Package pool provides reusable sort contexts: size-classed arenas
-// plus their immutable sorter layouts, kept on sharded free lists so
-// steady-state sorts build no arenas and allocate nothing.
+// plus their sorter layouts, kept on sharded free lists so steady-state
+// sorts build no arenas and allocate nothing.
 //
 // A context owns everything a sort needs except the workers: the
-// arena-sized memory image and the Runner that laid it out. Because
-// every mutable word of sort state lives in that shared memory,
-// clearing the memory and re-seeding reproduces a factory-fresh
-// context exactly — reuse is a memset away, never a rebuild. The pool
-// hands contexts out by size class (powers of two from
-// sizeclass.MinClass to sizeclass.MaxClass), so a request for any
-// n ≤ capacity reuses the same context; callers pad the tail with
-// virtual elements that compare greater than every real one.
+// arena-sized memory image and the Runner that laid it out. Every
+// mutable word of sort state lives in that shared memory, and the
+// Runner's only per-run state is the live count Seed records, so
+// clearing the memory and seeding it for the next request reproduces a
+// factory-fresh context exactly — reuse is a memset away, never a
+// rebuild. The pool hands contexts out by size class (powers of two
+// from sizeclass.MinClass to sizeclass.MaxClass), so a request for any
+// n ≤ capacity reuses the same context and sorts only its n elements:
+// the classes bound how many idle arenas the pool keeps, not the work
+// a sort does.
 package pool
 
 import (
@@ -23,12 +25,15 @@ import (
 	"wfsort/internal/sizeclass"
 )
 
-// Runner is the immutable sorter layout a context was built with. It
-// is stateless between sorts: all mutable state lives in the context's
-// memory, which Seed initializes from zero.
+// Runner is the sorter layout a context was built with. Between sorts
+// all mutable state lives in the context's memory, which Seed
+// initializes from zero for one run.
 type Runner interface {
-	// Seed writes the initial state (WAT seeds) into zeroed memory.
-	Seed(mem []model.Word)
+	// Seed writes the initial state (WAT seeds) into zeroed memory for a
+	// run over elements 1..live, live ≤ the capacity, and records live
+	// for that run. The context's borrower owns the Runner until the run
+	// has been waited for, so no worker reads a stale live count.
+	Seed(mem []model.Word, live int)
 	// PlacesInto reads the final 1-based ranks of elements 1..len(dst)
 	// out of memory after a completed sort.
 	PlacesInto(mem []model.Word, dst []int)
@@ -41,24 +46,17 @@ type Runner interface {
 // Ctx is one reusable sort context.
 type Ctx struct {
 	// Capacity is the context's element capacity; any n ≤ Capacity can
-	// be sorted in it (pad elements n+1..Capacity compare greatest).
+	// be sorted in it.
 	Capacity int
-	// Runner is the immutable layout for Capacity elements.
+	// Runner is the layout for Capacity elements.
 	Runner Runner
-	// Mem is the arena image, len = arena.Size(), seeded and ready.
+	// Mem is the arena image, len = arena.Size(), seeded by Get for the
+	// borrower's n.
 	Mem []model.Word
 	// Places is scratch for reading ranks back, len = Capacity.
 	Places []int
 
 	class int // index into Pool.classes, -1 for oversize one-offs
-}
-
-// Reset restores the context to its just-built state: zero the memory,
-// re-seed. After Reset the context is indistinguishable from a fresh
-// build, because the sorter layout itself is immutable.
-func (c *Ctx) Reset() {
-	clear(c.Mem)
-	c.Runner.Seed(c.Mem)
 }
 
 // Config builds a Pool.
@@ -152,14 +150,23 @@ func (p *Pool) classFor(n int) int {
 	return -1
 }
 
-// Get returns a seeded, ready-to-sort context with Capacity ≥ n,
-// reusing an idle one when the class has any. Contexts for n beyond
-// the largest size class are built exactly-sized and never pooled;
-// Put drops them.
+// Get returns a context with Capacity ≥ n, seeded to sort exactly n
+// elements, reusing an idle one when the class has any. Contexts for n
+// beyond the largest size class are built exactly-sized and never
+// pooled; Put drops them.
 func (p *Pool) Get(n int) (*Ctx, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("pool: Get(%d)", n)
 	}
+	c, err := p.get(n)
+	if err == nil {
+		c.Runner.Seed(c.Mem, n)
+	}
+	return c, err
+}
+
+// get returns a context with zeroed memory and Capacity ≥ n.
+func (p *Pool) get(n int) (*Ctx, error) {
 	p.gets.Add(1)
 	ci := p.classFor(n)
 	if ci < 0 {
@@ -201,14 +208,14 @@ func (p *Pool) buildCtx(capacity, ci int) (*Ctx, error) {
 		Places:   make([]int, capacity),
 		class:    ci,
 	}
-	r.Seed(c.Mem)
 	return c, nil
 }
 
-// Put resets the context and returns it to its class's free list, or
-// drops it when the class already holds PerClassIdle idle contexts
-// (or the context is an oversize one-off). Contexts abandoned
-// mid-sort are safe to Put: Reset rebuilds the pristine state.
+// Put zeroes the context's memory and returns it to its class's free
+// list, or drops it when the class already holds PerClassIdle idle
+// contexts (or the context is an oversize one-off). Contexts abandoned
+// mid-sort are safe to Put once their run has been waited for: zeroed
+// memory plus the next Get's Seed is the pristine state.
 func (p *Pool) Put(c *Ctx) {
 	p.puts.Add(1)
 	if c.class < 0 {
@@ -220,7 +227,7 @@ func (p *Pool) Put(c *Ctx) {
 		p.trims.Add(1)
 		return
 	}
-	c.Reset()
+	clear(c.Mem)
 	sh := &cl.shards[int(p.cursor.Add(1))%len(cl.shards)]
 	sh.mu.Lock()
 	sh.free = append(sh.free, c)

@@ -123,7 +123,7 @@ func runMatrixCell(t *testing.T, alloc core.Alloc, sched Scheduler, keys []int, 
 	var a model.Arena
 	s := core.NewSorter(&a, n, alloc)
 	m := New(Config{P: p, Mem: a.Size(), Seed: seed, Sched: sched, Less: less})
-	s.Seed(m.Memory())
+	s.Seed(m.Memory(), s.N())
 	met, err := m.Run(s.Program())
 	if err != nil {
 		t.Fatal(err)

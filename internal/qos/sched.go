@@ -24,8 +24,8 @@ type Observer interface {
 //     Priority − waited/aging, unclamped, so every queued job
 //     eventually outranks all fresh arrivals — no tier starves
 //     (DESIGN §13 has the bound).
-//   - Shortest-job-first inside a tier, by EstCost (the sizeclass
-//     capacity the sort will run at), submission order breaking the
+//   - Shortest-job-first inside a tier, by EstCost (the number of
+//     keys the sort will run at), submission order breaking the
 //     final tie.
 //   - Deadline shedding with no false positives: a job is dropped
 //     iff deadline − now < floor, so with the default floor of 0

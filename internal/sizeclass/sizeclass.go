@@ -24,9 +24,9 @@ const (
 	MaxClass = 1 << 20
 
 	// FreshCutoff is the input size below which the pooled path
-	// delegates to the one-shot sort: the padding overhead of rounding
-	// a tiny input up to MinClass exceeds the cost of just building a
-	// tiny arena.
+	// delegates to the one-shot sort: clearing and seeding a MinClass
+	// context for a tiny input costs more than just building a tiny
+	// arena.
 	FreshCutoff = 64
 
 	// DefaultMaxKeys is the default request size limit for a single
@@ -44,8 +44,9 @@ const (
 )
 
 // Classes returns every pooled capacity, ascending: powers of two from
-// MinClass to MaxClass. Power-of-two growth bounds the padding a
-// request pays at under 2x its own size while keeping the class count
+// MinClass to MaxClass. A pooled request sorts at its own size inside
+// its class, so the classes bound memory, not work: power-of-two growth
+// keeps an arena under 2x the request it serves and the class count
 // (and therefore idle-arena memory) logarithmic.
 func Classes() []int {
 	var out []int

@@ -29,12 +29,14 @@ const NoWork = 0
 // WAT is a work-assignment tree over a fixed number of jobs. Nodes are
 // stored as a 1-indexed binary heap in shared memory: node 1 is the
 // root, node n's children are 2n and 2n+1, and the leaves are nodes
-// [leaves, 2·leaves). Jobs beyond the requested count (padding up to a
-// power of two) are pre-marked DONE by Seed.
+// [leaves, 2·leaves). Jobs beyond the count a run seeds (padding up to
+// a power of two, and any laid-out jobs the run leaves out) are
+// pre-marked DONE by Seed.
 type WAT struct {
 	tree   model.Region
 	leaves int // power of two
 	jobs   int
+	live   int // jobs the current run covers (see Seed)
 }
 
 // New lays out a WAT for the given number of jobs (>= 1) in the arena.
@@ -56,6 +58,7 @@ func NewNamed(a model.Allocator, name string, jobs int) *WAT {
 		tree:   a.Named(name, 2*leaves),
 		leaves: leaves,
 		jobs:   jobs,
+		live:   jobs,
 	}
 }
 
@@ -68,17 +71,24 @@ func (w *WAT) Leaves() int { return w.leaves }
 // Depth returns the tree depth (root = depth 0; leaves at Depth).
 func (w *WAT) Depth() int { return bits.TrailingZeros(uint(w.leaves)) }
 
-// Seed pre-marks padding leaves, and inner nodes whose whole subtree is
-// padding, as DONE in the runtime's memory. It must run before the
-// machine does (initialization is free, matching the paper's assumption
-// of an initialized work array).
-func (w *WAT) Seed(mem []model.Word) {
-	if w.jobs == w.leaves {
+// Seed pre-marks every leaf past the first jobs (0 <= jobs <= Jobs()),
+// and inner nodes whose whole subtree is such padding, as DONE in the
+// runtime's zeroed memory, so a tree laid out for Jobs() jobs runs only
+// the first jobs of them; Run spreads its processors' starting leaves
+// over those jobs. It must run before the machine does (initialization
+// is free, matching the paper's assumption of an initialized work
+// array).
+func (w *WAT) Seed(mem []model.Word, jobs int) {
+	if jobs < 0 || jobs > w.jobs {
+		panic("wat: seeded job count out of range")
+	}
+	w.live = jobs
+	if jobs == w.leaves {
 		return
 	}
 	for n := 2*w.leaves - 1; n >= 1; n-- {
 		if w.isLeafNode(n) {
-			if n-w.leaves >= w.jobs {
+			if n-w.leaves >= jobs {
 				mem[w.tree.At(n)] = model.Done
 			}
 		} else if mem[w.tree.At(2*n)] == model.Done && mem[w.tree.At(2*n+1)] == model.Done {
@@ -119,9 +129,10 @@ func (w *WAT) IsLeaf(node int) bool { return w.isLeafNode(node) }
 func (w *WAT) isLeafNode(n int) bool { return n >= w.leaves }
 
 // InitialLeaf returns the paper's starting assignment for a processor:
-// leaf number jobs·pid/P, spreading processors evenly across the jobs.
+// leaf number jobs·pid/P, spreading processors evenly across the jobs
+// the tree was seeded with.
 func (w *WAT) InitialLeaf(pid, numProcs int) int {
-	return w.LeafNode(w.jobs * pid / numProcs)
+	return w.LeafNode(w.live * pid / numProcs)
 }
 
 // NextElement is the routine of Figure 1. It marks node i DONE, climbs
@@ -176,12 +187,15 @@ func (w *WAT) NextElement(p model.Proc, i int) int {
 // (concurrently with other processors) and must be idempotent.
 func (w *WAT) Run(p model.Proc, job func(j int)) {
 	var i int
-	if p.NumProcs() <= w.jobs {
+	switch {
+	case w.live == 0:
+		return // seeded with no jobs: the tree starts complete
+	case p.NumProcs() <= w.live:
 		i = w.InitialLeaf(p.ID(), p.NumProcs())
-	} else {
+	default:
 		// More processors than jobs: wrap around so every processor
 		// starts at a valid leaf.
-		i = w.LeafNode(p.ID() % w.jobs)
+		i = w.LeafNode(p.ID() % w.live)
 	}
 	for i != NoWork {
 		if j := w.JobOf(i); j >= 0 {

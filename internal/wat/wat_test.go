@@ -17,7 +17,7 @@ func runWriteAll(t *testing.T, jobs, p int, seed uint64, sched pram.Scheduler) (
 	w := New(&a, jobs)
 	out := a.Array(jobs)
 	m := pram.New(pram.Config{P: p, Mem: a.Size(), Seed: seed, Sched: sched})
-	w.Seed(m.Memory())
+	w.Seed(m.Memory(), w.Jobs())
 	met, err := m.Run(func(pr model.Proc) {
 		w.Run(pr, func(j int) {
 			pr.Write(out.At(j), 1)
@@ -101,7 +101,7 @@ func TestLemma21NextElementOpsLogarithmic(t *testing.T) {
 		var a model.Arena
 		w := New(&a, n)
 		m := pram.New(pram.Config{P: 1, Mem: a.Size()})
-		w.Seed(m.Memory())
+		w.Seed(m.Memory(), w.Jobs())
 		met, err := m.Run(func(pr model.Proc) {
 			i := w.LeafNode(0)
 			w.NextElement(pr, i)
@@ -123,7 +123,7 @@ func TestNextElementFromLastLeafClimbsToRoot(t *testing.T) {
 	var a model.Arena
 	w := New(&a, n)
 	m := pram.New(pram.Config{P: 1, Mem: a.Size()})
-	w.Seed(m.Memory())
+	w.Seed(m.Memory(), w.Jobs())
 	_, err := m.Run(func(pr model.Proc) {
 		visited := 0
 		i := w.LeafNode(0)
@@ -146,7 +146,7 @@ func TestSeedMarksPaddingOnly(t *testing.T) {
 	var a model.Arena
 	w := New(&a, 5) // leaves = 8, padding jobs 5..7
 	mem := make([]model.Word, a.Size())
-	w.Seed(mem)
+	w.Seed(mem, w.Jobs())
 	for j := 0; j < 5; j++ {
 		if mem[w.tree.At(w.LeafNode(j))] != model.Empty {
 			t.Errorf("real leaf %d pre-marked", j)
@@ -167,12 +167,42 @@ func TestSeedMarksPaddingOnly(t *testing.T) {
 	}
 }
 
+// TestSeedLiveJobsRunsOnlyThem: a tree laid out for 16 jobs but seeded
+// for 5 runs exactly jobs 0..4, under any processor count, and a tree
+// seeded for none starts complete.
+func TestSeedLiveJobsRunsOnlyThem(t *testing.T) {
+	for _, p := range []int{1, 3, 8} {
+		var a model.Arena
+		w := New(&a, 16)
+		out := a.Array(16)
+		m := pram.New(pram.Config{P: p, Mem: a.Size()})
+		w.Seed(m.Memory(), 5)
+		if _, err := m.Run(func(pr model.Proc) {
+			w.Run(pr, func(j int) { pr.Write(out.At(j), 1) })
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < 16; j++ {
+			if got, want := m.Memory()[out.At(j)], model.Word(0); (j < 5) == (got == want) {
+				t.Errorf("P=%d: cell %d = %d with 5 live jobs", p, j, got)
+			}
+		}
+	}
+	var a model.Arena
+	w := New(&a, 4)
+	mem := make([]model.Word, a.Size())
+	w.Seed(mem, 0)
+	if mem[w.NodeAddr(1)] != model.Done {
+		t.Error("zero-job seed left the root open")
+	}
+}
+
 func TestSingleJobTree(t *testing.T) {
 	var a model.Arena
 	w := New(&a, 1)
 	m := pram.New(pram.Config{P: 3, Mem: a.Size() + 1})
 	out := a.Size()
-	w.Seed(m.Memory())
+	w.Seed(m.Memory(), w.Jobs())
 	_, err := m.Run(func(pr model.Proc) {
 		w.Run(pr, func(j int) { pr.Write(out, 1) })
 	})

@@ -89,7 +89,7 @@ func Run(cfg Config) (Result, error) {
 
 	m := pram.New(pram.Config{P: cfg.P, Mem: a.Size(), Seed: cfg.Seed, Sched: cfg.Sched})
 	if w != nil {
-		w.Seed(m.Memory())
+		w.Seed(m.Memory(), w.Jobs())
 	}
 	if lc != nil {
 		lc.Seed(m.Memory())

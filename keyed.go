@@ -198,30 +198,9 @@ func (s *KeyedSorter[T]) SortContext(ctx context.Context, data []T) error {
 	for i := range data {
 		keys[i] = s.key(data[i])
 	}
-	// Virtual padding, as in Sorter.SortContext: pad indices beyond n
-	// compare greater than every real element so the class-capacity
-	// sort ranks the real ones 1..n; the exact-fit class skips the
-	// pad branch entirely.
-	var idxLess func(i, j int) bool
-	if n == pc.Capacity {
-		idxLess = func(i, j int) bool {
-			a, b := keys[i-1], keys[j-1]
-			return a < b || (a == b && i < j)
-		}
-	} else {
-		idxLess = func(i, j int) bool {
-			pi, pj := i > n, j > n
-			switch {
-			case pi && pj:
-				return i < j
-			case pi:
-				return false
-			case pj:
-				return true
-			}
-			a, b := keys[i-1], keys[j-1]
-			return a < b || (a == b && i < j)
-		}
+	idxLess := func(i, j int) bool {
+		a, b := keys[i-1], keys[j-1]
+		return a < b || (a == b && i < j)
 	}
 	if err := s.p.runPooled(ctx, pc, n, idxLess); err != nil {
 		return err

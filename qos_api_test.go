@@ -96,7 +96,7 @@ func TestPooledSortDeadlineShed(t *testing.T) {
 }
 
 // TestJobQoSEstCostDefault checks the context envelope reaches the
-// queue policy with EstCost defaulted to the borrowed class capacity.
+// queue policy with EstCost defaulted to the request size n.
 func TestJobQoSEstCostDefault(t *testing.T) {
 	seen := make(chan JobView, 1)
 	p, err := NewPool(WithWorkers(2), WithPipeline(4), WithQueuePolicy(captPolicy{seen}))
@@ -121,8 +121,8 @@ func TestJobQoSEstCostDefault(t *testing.T) {
 		if v.Class != "lat" || v.Priority != 2 {
 			t.Fatalf("policy saw %+v, want class lat priority 2", v)
 		}
-		if v.EstCost < 300 {
-			t.Fatalf("EstCost = %d, want >= n (class capacity)", v.EstCost)
+		if v.EstCost != 300 {
+			t.Fatalf("EstCost = %d, want n = 300, the size the sort runs at", v.EstCost)
 		}
 	default:
 		t.Fatal("policy never saw the job")

@@ -22,12 +22,15 @@ type PoolStats = pool.Stats
 // steady-state sorts build no arenas and spawn no goroutines. Contexts
 // come in power-of-two size classes (sizeclass.MinClass up to
 // sizeclass.MaxClass); a request for n elements borrows the smallest
-// class that fits, pads the tail with virtual greatest elements, sorts
-// at class capacity, and returns the context reset for the next
-// borrower. Every pooled sort runs on the pool's phase-pipelined crew
-// (native.Pipeline), whose goroutines survive even the fault plane's
-// kills: only the sort program unwinds, so a crew battered by
-// WithChurn or WithCrashes is back at full strength for its next job.
+// class that fits, sorts its n elements at their own size — the class
+// bounds idle-arena memory, not work — and returns the context cleared
+// for the next borrower. (The LowContention variant still sorts at
+// class capacity, padding the tail with virtual greatest elements: its
+// §3 group split spans every slot.) Every pooled sort runs on the
+// pool's phase-pipelined crew (native.Pipeline), whose goroutines
+// survive even the fault plane's kills: only the sort program unwinds,
+// so a crew battered by WithChurn or WithCrashes is back at full
+// strength for its next job.
 //
 // The sort configuration (workers, variant, layout, seed, faults) is
 // fixed per pool — contexts are only interchangeable because every
@@ -228,7 +231,7 @@ func (s *Sorter[E]) SortContext(ctx context.Context, data []E) error {
 		return nil
 	}
 	if n <= sizeclass.FreshCutoff {
-		// Padding a tiny sort to the smallest class costs more than
+		// Clearing and seeding a smallest-class context costs more than
 		// building a right-sized arena; take the one-shot path.
 		c := s.p.c
 		if c.workers > n {
@@ -248,46 +251,17 @@ func (s *Sorter[E]) SortContext(ctx context.Context, data []E) error {
 	input := (*buf)[:n]
 	copy(input, data)
 
-	// Virtual padding: elements n+1..Capacity compare greater than every
-	// real element (ties by index), so the class-capacity sort ranks the
-	// real elements exactly 1..n and the pads n+1..Capacity. When the
-	// request fills its class exactly there are no pads, and the
-	// pad-check branch is too expensive to pay on every comparison.
 	less := s.less
-	var idxLess func(i, j int) bool
-	if n == pc.Capacity {
-		idxLess = func(i, j int) bool {
-			a, b := input[i-1], input[j-1]
-			if less(a, b) {
-				return true
-			}
-			if less(b, a) {
-				return false
-			}
-			return i < j
+	idxLess := func(i, j int) bool {
+		a, b := input[i-1], input[j-1]
+		if less(a, b) {
+			return true
 		}
-	} else {
-		idxLess = func(i, j int) bool {
-			pi, pj := i > n, j > n
-			switch {
-			case pi && pj:
-				return i < j
-			case pi:
-				return false
-			case pj:
-				return true
-			}
-			a, b := input[i-1], input[j-1]
-			if less(a, b) {
-				return true
-			}
-			if less(b, a) {
-				return false
-			}
-			return i < j
+		if less(b, a) {
+			return false
 		}
+		return i < j
 	}
-
 	if err := s.p.runPooled(ctx, pc, n, idxLess); err != nil {
 		return err
 	}
@@ -297,8 +271,9 @@ func (s *Sorter[E]) SortContext(ctx context.Context, data []E) error {
 
 // runPooled executes one sort job on the pool's crew, with the QoS
 // envelope and trace sink drawn from ctx, an abort watcher on ctx
-// cancellation, and rank validation. On success pc.Places[:n] holds
-// each element's 1-based rank. It is the shared core under Sorter
+// cancellation, and rank validation. pc was seeded by Get for the n
+// elements idxLess orders; on success pc.Places[:n] holds each
+// element's 1-based rank. It is the shared core under Sorter
 // (payload-copying, comparator-ordered) and KeyedSorter (zero-copy,
 // key-ordered): both reduce their ordering to an idxLess over 1-based
 // arena indices and diverge only in how the permutation is applied
@@ -309,12 +284,14 @@ func (p *Pool) runPooled(ctx context.Context, pc *pool.Ctx, n int, idxLess func(
 	sink := sortTraceFrom(ctx)
 	pl := p.borrowPipeline()
 	defer p.releasePipeline()
+	if _, ok := pc.Runner.(paddedRunner); ok {
+		idxLess = padLess(n, idxLess)
+	}
 	// The request's QoS envelope rides the context; the queue policy
-	// schedules by it. EstCost defaults to the borrowed class capacity —
-	// the size the sort actually runs at.
+	// schedules by it. EstCost defaults to n, the size the sort runs at.
 	q, _ := jobQoSFrom(ctx)
 	if q.EstCost == 0 {
-		q.EstCost = int64(pc.Capacity)
+		q.EstCost = int64(n)
 	}
 	run := pl.Submit(native.PipeJob{
 		Graph:     pc.Runner.Graph(),

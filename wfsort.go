@@ -521,7 +521,7 @@ func newRunner(a model.Allocator, n int, c config, tun core.Tuning) (runner, err
 
 func (r runner) seed(mem []model.Word) {
 	if r.core != nil {
-		r.core.Seed(mem)
+		r.core.Seed(mem, r.core.N())
 	} else {
 		r.lc.Seed(mem)
 	}
@@ -549,10 +549,32 @@ func (r runner) depth(mem []model.Word) int {
 }
 
 // asPoolRunner exposes the underlying sorter through the pooling
-// layer's Runner interface (both sorters satisfy it directly).
+// layer's Runner interface: the Section 2 sorter satisfies it directly,
+// the §3 sorter through paddedRunner.
 func (r runner) asPoolRunner() pool.Runner {
 	if r.core != nil {
 		return r.core
 	}
-	return r.lc
+	return paddedRunner{r.lc}
+}
+
+// paddedRunner pools the §3 sorter, which always sorts at capacity: its
+// group split and fat-tree samples span every capacity slot, so it has
+// no live count and ignores the one Seed is given. runPooled pads its
+// comparator instead (padLess).
+type paddedRunner struct{ *lowcont.Sorter }
+
+func (r paddedRunner) Seed(mem []model.Word, _ int) { r.Sorter.Seed(mem) }
+
+// padLess orders a capacity-sized sort of n real elements: elements
+// past n are virtual pads that compare greater than every real element
+// and among themselves by index, so the real elements rank exactly
+// 1..n.
+func padLess(n int, less func(i, j int) bool) func(i, j int) bool {
+	return func(i, j int) bool {
+		if i > n || j > n {
+			return j > n && (i <= n || i < j)
+		}
+		return less(i, j)
+	}
 }
